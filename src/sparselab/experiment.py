@@ -78,14 +78,18 @@ class ExperimentConfig:
             raise ConfigError(f"need 1 <= m <= n_atoms, got m={self.m}, n_atoms={self.n_atoms}")
         if not self.k_values or any(k < 1 for k in self.k_values):
             raise ConfigError("k_values must be a nonempty list of positive integers")
-        if not self.sigma_values or any(s < 0 for s in self.sigma_values):
-            raise ConfigError("sigma_values must be a nonempty list of nonnegative reals")
+        if len(set(self.k_values)) != len(self.k_values):
+            raise ConfigError("k_values has duplicate entries")
+        if not self.sigma_values or not all(math.isfinite(s) and s >= 0 for s in self.sigma_values):
+            raise ConfigError("sigma_values must be a nonempty list of finite nonnegative reals")
+        if len(set(self.sigma_values)) != len(self.sigma_values):
+            raise ConfigError("sigma_values has duplicate entries")
         if self.trials_per_point < 1:
             raise ConfigError("trials_per_point must be >= 1")
         if not self.algorithms:
             raise ConfigError("algorithms list is empty")
-        if self.a <= 0:
-            raise ConfigError("probability exponent a must be positive")
+        if not (math.isfinite(self.a) and self.a > 0):
+            raise ConfigError("probability exponent a must be positive and finite")
         kmax = max(self.k_values)
         if Algorithm.COSAMP in self.algorithms and 4 * kmax > self.m:
             raise ConfigError(f"cosamp needs 4*max(k) <= m, got k={kmax}, m={self.m}")
@@ -266,8 +270,8 @@ def run_trial(D, k, sigma, algorithms, seed, halting="practical", max_iterations
     """One signal and noise draw; every requested algorithm sees the same y.
 
     Returns one TrialRecord per algorithm (in the order given). A solver
-    failure is recorded as the error category on that record rather than
-    aborting the sweep.
+    failure (a SparseLabError, or a LinAlgError from numpy) is recorded as
+    the error category on that record rather than aborting the sweep.
     """
     rng = np.random.default_rng(seed)
     if signal_model == "spikes":
@@ -318,7 +322,7 @@ def run_trial(D, k, sigma, algorithms, seed, halting="practical", max_iterations
                     iterations_run=result.iterations_run,
                 )
             )
-        except SparseLabError as exc:
+        except (SparseLabError, np.linalg.LinAlgError) as exc:
             records.append(
                 TrialRecord(
                     trial_index=seed,
@@ -329,7 +333,7 @@ def run_trial(D, k, sigma, algorithms, seed, halting="practical", max_iterations
                     oracle_squared_error=oracle_sq,
                     support_recovered=False,
                     iterations_run=0,
-                    error=exc.category,
+                    error=exc.category if isinstance(exc, SparseLabError) else "LinAlgError",
                 )
             )
     return records

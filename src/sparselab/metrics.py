@@ -8,6 +8,16 @@ noise vector. The isometry defect of a support T is
 
 the spectral deviation of the Gram submatrix G_T from the identity, and the
 order-k constant is the maximum of delta_T over all supports of size k.
+
+Exact enumeration is best-bound-first. The Gershgorin bound of a support,
+the largest row sum of |G_T - I| with the diagonal residue included, caps
+delta_T. Within each chunk of supports the ones whose bound can still beat
+the running maximum go to the eigensolver in falling bound order, and the
+rest of the chunk is skipped as soon as the next bound cannot. For k >= 3 a
+support is split into a prefix P (its k - 2 smallest atoms) and a pair a < b
+above P, so its row sums follow in O(k) from the prefix's own row sums, its
+column sums over P and |E_ab|; support indices are built only for the
+supports that reach the eigensolver.
 """
 
 import enum
@@ -24,6 +34,12 @@ ENUMERATION_BUDGET = 2 * 10**6
 
 # per-chunk gather budget in matrix elements; keeps memory flat for large k
 _CHUNK_ELEMENTS = 2 * 10**7
+
+# slack on the pruning test, so float rounding in a bound never drops the argmax
+_BOUND_SLACK = 1e-9
+
+# eigensolver batch sizes of a chunk: the first, doubling up to _chunk_rows(k) // 16
+_FIRST_BATCH = 256
 
 
 class RipMethod(enum.Enum):
@@ -91,13 +107,88 @@ def _chunk_rows(k):
     return max(1024, _CHUNK_ELEMENTS // (k * k))
 
 
+def _best_first(E, bound, supports, best, k):
+    """Raise `best` over candidate supports, evaluated in falling bound order.
+
+    `supports(sel)` builds the sorted support rows of candidate positions
+    `sel`. Evaluation stops once the next bound cannot beat `best`.
+    """
+    order = np.argsort(-bound, kind="stable")
+    falling = -bound[order]
+    pos, size, cap = 0, _FIRST_BATCH, max(_FIRST_BATCH, _chunk_rows(k) // 16)
+    while pos < order.size:
+        # candidates that can still win: bound > best - slack
+        stop = min(int(np.searchsorted(falling, -(best - _BOUND_SLACK))), pos + size)
+        if stop <= pos:
+            break
+        best = max(best, float(_support_deltas(E, supports(order[pos:stop])).max()))
+        pos = stop
+        size = min(2 * size, cap)
+    return best
+
+
+def _prefix_chunks(n, p, rows):
+    """Lexicographic size-p prefixes of supports of size p + 2, in chunks.
+
+    A prefix's largest atom m is at most n - 3, and it heads C(n - 1 - m, 2)
+    supports. A chunk heads at most `rows` supports (or is one prefix), and
+    its (p, c, n) row gather stays within _CHUNK_ELEMENTS // 8 elements.
+    """
+    pairs_above = np.array([math.comb(n - 1 - m, 2) for m in range(n - 2)])
+    for block in _combination_chunks(n - 2, p, max(1, _CHUNK_ELEMENTS // (8 * p * n))):
+        ends = np.cumsum(pairs_above[block[:, -1]])
+        start = 0
+        while start < len(block):
+            done = ends[start - 1] if start else 0
+            stop = max(start + 1, int(np.searchsorted(ends, done + rows, side="right")))
+            yield block[start:stop]
+            start = stop
+
+
+def _pair_candidates(absE, prefixes, floor):
+    """Supports P + (a, b), max(P) < a < b, whose Gershgorin bound exceeds `floor`.
+
+    Each row sum of |E_T| follows from the prefix: the row of an atom of P
+    is its row sum over P plus |E| to a and to b, and the row of a is its
+    column sum over P plus |E_aa| and |E_ab| (b alike). Returns the
+    candidates' bounds and a function building the sorted supports of
+    chosen candidates.
+    """
+    n = absE.shape[0]
+    prefixes = prefixes[np.argsort(prefixes[:, -1], kind="stable")]
+    last = prefixes[:, -1]
+    rows = absE[prefixes.T]  # (p, c, n)
+    own = absE[prefixes[:, :, None], prefixes[:, None, :]].sum(axis=2).T  # (p, c)
+    col = rows.sum(axis=0) + np.diagonal(absE)  # (c, n), diagonal residue included
+    found = []
+    for a in range(int(last[0]) + 1, n - 1):
+        c = int(np.searchsorted(last, a))  # prefixes whose atoms all lie below a
+        bound = np.maximum(col[:c, a, None], col[:c, a + 1 :]) + absE[a, a + 1 :]
+        for i in range(len(rows)):
+            np.maximum(bound, (own[i, :c] + rows[i, :c, a])[:, None] + rows[i, :c, a + 1 :], out=bound)
+        x, b = np.nonzero(bound > floor)
+        found.append((bound[x, b], x, np.full(x.size, a), b + (a + 1)))
+    bound, x, a, b = (np.concatenate(parts) for parts in zip(*found))
+    return bound, lambda sel: np.column_stack((prefixes[x[sel]], a[sel], b[sel]))
+
+
 def rip_exact(D, k, budget=ENUMERATION_BUDGET):
     """Exact order-k restricted-isometry constant by support enumeration.
 
-    Every one of the C(N, k) supports is accounted for. Supports whose
-    Gershgorin row-sum bound cannot beat the running maximum are skipped
-    without an eigendecomposition; the bound is a rigorous upper bound on
-    the spectral radius of G_T - I, so the returned maximum is exact.
+    Every one of the C(N, k) supports is accounted for, best-bound-first.
+    The Gershgorin bound of a support (the largest row sum of |G_T - I|,
+    diagonal residue included) is a rigorous upper bound on the spectral
+    radius of G_T - I, that is on delta_T. In each chunk of supports, the
+    ones whose bound can beat the running maximum are evaluated in falling
+    bound order, in batches; the rest of the chunk is skipped without an
+    eigendecomposition once the next bound cannot beat it. So the returned
+    maximum is exact, and bit-equal to a full enumeration: every evaluated
+    block is gathered as E[T, T] for sorted T.
+
+    For k >= 3 the supports are grouped by their prefix P of k - 2 smallest
+    atoms, and a support P + (a, b) gets its row sums in O(k) from the
+    prefix's own row sums, its column sums over P and |E_ab|. Supports of
+    order k <= 2 are enumerated directly.
 
     Parameters
     ----------
@@ -123,18 +214,15 @@ def rip_exact(D, k, budget=ENUMERATION_BUDGET):
     E = _deviation_matrix(D)
     absE = np.abs(E)
     best = 0.0
-    first = True
-    for idx in _combination_chunks(n, k, _chunk_rows(k)):
-        if first:
-            best = max(best, float(_support_deltas(E, idx).max()))
-            first = False
-            continue
-        # max row sum of |G_T - I| bounds the spectral radius of G_T - I;
-        # keep a small slack so float rounding can never drop the argmax
-        bound = absE[idx[:, :, None], idx[:, None, :]].sum(axis=2).max(axis=1)
-        keep = bound > best - 1e-9
-        if np.any(keep):
-            best = max(best, float(_support_deltas(E, idx[keep]).max()))
+    if k <= 2:
+        for idx in _combination_chunks(n, k, _chunk_rows(k)):
+            bound = absE[idx[:, :, None], idx[:, None, :]].sum(axis=2).max(axis=1)
+            keep = np.flatnonzero(bound > best - _BOUND_SLACK)
+            best = _best_first(E, bound[keep], lambda sel: idx[keep[sel]], best, k)
+    else:
+        for prefixes in _prefix_chunks(n, k - 2, _chunk_rows(k)):
+            bound, supports = _pair_candidates(absE, prefixes, best - _BOUND_SLACK)
+            best = _best_first(E, bound, supports, best, k)
     return RipEstimate(k=k, delta=best, method=RipMethod.EXACT_ENUMERATION, supports_checked=total)
 
 

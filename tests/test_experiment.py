@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from sparselab import experiment
 from sparselab.errors import ConfigError
 from sparselab.experiment import (
     CSV_COLUMNS,
@@ -123,6 +124,25 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="delta_mode"):
             small_config(delta_mode="exact")
 
+    @pytest.mark.parametrize("a", [math.nan, math.inf])
+    def test_non_finite_a(self, a):
+        # a = nan used to give prob_bound = nan and a silent 0.0 violation rate
+        with pytest.raises(ConfigError, match="exponent a"):
+            small_config(a=a)
+
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf])
+    def test_non_finite_sigma(self, sigma):
+        with pytest.raises(ConfigError, match="sigma_values"):
+            small_config(sigma_values=(0.5, sigma))
+
+    def test_duplicate_k_values(self):
+        with pytest.raises(ConfigError, match="k_values has duplicate"):
+            small_config(k_values=(3, 2, 3))
+
+    def test_duplicate_sigma_values(self):
+        with pytest.raises(ConfigError, match="sigma_values has duplicate"):
+            small_config(sigma_values=(0.5, 1.0, 0.5))
+
 
 class TestSeeding:
     def test_trial_seeds_distinct_and_stable(self):
@@ -202,6 +222,19 @@ class TestRunTrial:
         records = run_trial(D, 2, 0.0, (Algorithm.IHT,), seed=3, halting="fixed:100")
         assert records[0].error == "Divergence"
         assert math.isnan(records[0].squared_error)
+
+    def test_linalg_error_recorded_not_raised(self, monkeypatch):
+        def failing_solver(D, y, cfg):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setitem(experiment._SOLVERS, Algorithm.SP, failing_solver)
+        D = generate_dictionary(32, 64, 1)
+        records = run_trial(D, 3, 0.5, (Algorithm.SP, Algorithm.IHT), seed=9, halting="fixed:5")
+        assert records[0].error == "LinAlgError"
+        assert math.isnan(records[0].squared_error)
+        # the other solver on the same draw is unaffected
+        assert records[1].error is None
+        assert math.isfinite(records[1].squared_error)
 
     def test_deterministic_given_seed(self):
         D = generate_dictionary(32, 64, 2)

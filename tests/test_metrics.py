@@ -10,6 +10,10 @@ from sparselab.linalg import SupportSet, normalize_columns
 from sparselab.metrics import (
     CorrelationMode,
     RipMethod,
+    _deviation_matrix,
+    _pair_candidates,
+    _prefix_chunks,
+    _support_deltas,
     mutual_coherence,
     rip_exact,
     rip_monte_carlo,
@@ -53,7 +57,66 @@ class TestMutualCoherence:
         assert mutual_coherence(D) < 1e-12
 
 
+def unpruned_rip(D, k):
+    """Reference oracle: every support through the same batched eigensolver, no pruning."""
+    idx = np.array(list(itertools.combinations(range(D.n_atoms), k)))
+    return float(_support_deltas(_deviation_matrix(D), idx).max())
+
+
+def oracle_dictionaries():
+    """Random dictionaries with N <= 10, one with repeated atoms (tied bounds), one orthonormal."""
+    for seed in range(6):
+        n = 7 + seed % 4
+        m = int(np.random.default_rng(seed).integers(2, n))
+        yield pytest.param(random_dictionary(m, n, 300 + seed), id=f"random-{m}x{n}")
+    base = np.random.default_rng(16).standard_normal((5, 4))
+    yield pytest.param(normalize_columns(np.hstack([base, base, base[:, :1]])), id="duplicated-atoms")
+    Q, _ = np.linalg.qr(np.random.default_rng(17).standard_normal((8, 8)))
+    yield pytest.param(normalize_columns(Q), id="orthonormal")
+
+
 class TestRipExact:
+    @pytest.mark.parametrize("D", oracle_dictionaries())
+    def test_bit_equal_to_unpruned_enumeration(self, D):
+        # every order 1..N, so k = 3 (one-atom prefix), k = N - 1 and k = N
+        for k in range(1, D.n_atoms + 1):
+            assert rip_exact(D, k).delta == unpruned_rip(D, k), k
+
+    def test_bit_equal_when_the_argmax_needs_its_pair_rows(self):
+        # the argmax pair (14, 15) at 0.9 is orthogonal to every other atom,
+        # so only the rows of a and b of a support P + (14, 15) see it. The
+        # other atoms share a coherence of 0.01, and a rival pair (0, 1) at
+        # 0.5 gives a defect that prunes every support whose bound misses
+        # 0.9: the 364 supports without 14 or 15 all outrank the argmax's
+        # other rows, more than the first eigensolver batch holds.
+        n = 16
+        G = np.eye(n)
+        G[:14, :14] += 0.01 * (1.0 - np.eye(14))
+        G[0, 1] = G[1, 0] = 0.5
+        G[14, 15] = G[15, 14] = 0.9
+        D = normalize_columns(np.linalg.cholesky(G).T)
+        delta = rip_exact(D, 3).delta
+        assert delta == unpruned_rip(D, 3)
+        assert delta == pytest.approx(0.9, abs=1e-12)
+
+    @pytest.mark.parametrize("k", range(3, 12))
+    def test_prefix_bounds_equal_gathered_row_sums(self, k):
+        # every support exactly once, sorted, with the largest row sum of
+        # |E_T| (diagonal residue included) that a direct gather gives;
+        # a small chunk size splits the prefixes into many chunks
+        D = random_dictionary(7, 11, 21)
+        absE = np.abs(_deviation_matrix(D))
+        bounds, supports = [], []
+        for prefixes in _prefix_chunks(11, k - 2, 40):
+            bound, build = _pair_candidates(absE, prefixes, -np.inf)
+            bounds.append(bound)
+            supports.append(build(np.arange(bound.size)))
+        bound, T = np.concatenate(bounds), np.concatenate(supports)
+        order = np.lexsort(T.T[::-1])
+        assert T[order].tolist() == [list(c) for c in itertools.combinations(range(11), k)]
+        gathered = absE[T[:, :, None], T[:, None, :]].sum(axis=2).max(axis=1)
+        np.testing.assert_allclose(bound, gathered, rtol=1e-14, atol=0)
+
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_matches_brute_force(self, k):
         D = random_dictionary(6, 10, 2)
