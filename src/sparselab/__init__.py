@@ -24,12 +24,13 @@ from .guarantees import (
     nearly_sparse_oracle_bound,
     oracle_mse_bound,
     oracle_mse_exact,
+    recurrence_coefficients,
+    rip_order,
     sp_constants,
     success_probability,
 )
 from .linalg import (
     Dictionary,
-    Measurement,
     SparseSignal,
     SupportSet,
     best_k_approx,

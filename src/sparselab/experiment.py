@@ -49,12 +49,6 @@ CSV_COLUMNS = (
 
 _SOLVERS = {Algorithm.SP: subspace_pursuit, Algorithm.COSAMP: cosamp, Algorithm.IHT: iht}
 
-_THRESHOLDS = {
-    Algorithm.SP: guarantees.SP_CONDITION,
-    Algorithm.COSAMP: guarantees.COSAMP_CONDITION,
-    Algorithm.IHT: guarantees.IHT_CONDITION,
-}
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -91,12 +85,10 @@ class ExperimentConfig:
         if not (math.isfinite(self.a) and self.a > 0):
             raise ConfigError("probability exponent a must be positive and finite")
         kmax = max(self.k_values)
-        if Algorithm.COSAMP in self.algorithms and 4 * kmax > self.m:
-            raise ConfigError(f"cosamp needs 4*max(k) <= m, got k={kmax}, m={self.m}")
-        if any(alg in self.algorithms for alg in (Algorithm.SP, Algorithm.IHT)) and 3 * kmax > self.m:
-            raise ConfigError(f"sp/iht need 3*max(k) <= m, got k={kmax}, m={self.m}")
-        if kmax > self.m:
-            raise ConfigError(f"max(k) = {kmax} exceeds m = {self.m}")
+        order = max(guarantees.rip_order(alg, kmax) for alg in self.algorithms)
+        if order > self.m:
+            names = "/".join(alg.value for alg in Algorithm if guarantees.rip_order(alg, kmax) == order)
+            raise ConfigError(f"rip order {order} of {names} exceeds m = {self.m} (max(k) = {kmax})")
         _parse_halting(self.halting)
         _parse_signal_model(self.signal_model)
         if self.halting == "practical" and any(s == 0 for s in self.sigma_values):
@@ -367,9 +359,8 @@ def _worker_run(task):
 def _delta_for(cfg, D, algorithm, k):
     """delta plugged into the bound columns for one (algorithm, k) pair."""
     if cfg.delta_mode == "threshold":
-        return _THRESHOLDS.get(algorithm, 0.0)
-    order = {Algorithm.SP: 3 * k, Algorithm.COSAMP: 4 * k, Algorithm.IHT: 3 * k}.get(algorithm, k)
-    order = min(order, D.n_atoms)
+        return guarantees.CONDITIONS.get(algorithm.value, 0.0)
+    order = min(guarantees.rip_order(algorithm, k), D.n_atoms)
     est = rip_monte_carlo(
         D, order, trials=cfg.delta_mc_trials, seed=_digest_seed(cfg.seed, "rip", algorithm.value, order)
     )

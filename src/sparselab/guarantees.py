@@ -24,6 +24,9 @@ SP_CONDITION = 0.139
 COSAMP_CONDITION = 0.1
 IHT_CONDITION = 1 / math.sqrt(32)
 
+# the contraction condition of each iterative family: delta <= threshold
+CONDITIONS = {"sp": SP_CONDITION, "cosamp": COSAMP_CONDITION, "iht": IHT_CONDITION}
+
 _FAMILIES = ("sp", "cosamp", "iht", "ds")
 
 
@@ -65,35 +68,71 @@ def _check_delta(delta):
         raise ValueError(f"delta must lie in [0, 1), got {delta!r}")
 
 
-def sp_constants(delta3k):
-    """Recurrence coefficients (rho, tau) and accuracy constant for SP.
+def _recurrence(name, d):
+    """The (a, b) pair of each step err <= a err_prev + b nc, then the accuracy constant C.
 
-    rho = 2 d (1+d) / (1-d)^3, tau = (6 - 6d + 4d^2) / (1-d)^3,
-    C = 2 (7 - 9d + 7d^2 - d^3) / (1-d)^4, evaluated at d = delta3k.
+    sp's steps are merge, prune and their composition (rho, tau); cosamp's and iht's are
+    (rho, tau). Every sp and cosamp value is +inf at and past the pole d = 1.
     """
-    _check_delta(delta3k)
-    d = float(delta3k)
-    rho = 2 * d * (1 + d) / (1 - d) ** 3
-    tau = (6 - 6 * d + 4 * d * d) / (1 - d) ** 3
-    c = 2 * (7 - 9 * d + 7 * d * d - d**3) / (1 - d) ** 4
+    if name == "iht":
+        return (math.sqrt(8) * d, 4.0), 9.0
+    if d >= 1:
+        return ((math.inf, math.inf),) * (3 if name == "sp" else 1) + (math.inf,)
+    sq = (1 - d) ** 2
+    if name == "cosamp":
+        return (4 * d / sq, (14 - 6 * d) / sq), (29 - 14 * d + d * d) / sq
+    cb = (1 - d) ** 3
+    return (
+        (2 * d / sq, 2 / sq),
+        ((1 + d) / (1 - d), 4 / (1 - d)),
+        (2 * d * (1 + d) / cb, (6 - 6 * d + 4 * d * d) / cb),
+        2 * (7 - 9 * d + 7 * d * d - d**3) / (1 - d) ** 4,
+    )
+
+
+def _constants(name, delta):
+    *_, (rho, tau), c = _recurrence(name, float(delta))
     return rho, tau, c
+
+
+def sp_constants(delta3k):
+    """Recurrence coefficients (rho, tau) and accuracy constant C for SP at d = delta3k in [0, 1)."""
+    _check_delta(delta3k)
+    return _constants("sp", delta3k)
 
 
 def cosamp_constants(delta4k):
-    """rho = 4d/(1-d)^2, tau = (14-6d)/(1-d)^2, C = (29-14d+d^2)/(1-d)^2."""
+    """(rho, tau, C) for CoSaMP at d = delta4k in [0, 1)."""
     _check_delta(delta4k)
-    d = float(delta4k)
-    rho = 4 * d / (1 - d) ** 2
-    tau = (14 - 6 * d) / (1 - d) ** 2
-    c = (29 - 14 * d + d * d) / (1 - d) ** 2
-    return rho, tau, c
+    return _constants("cosamp", delta4k)
 
 
 def iht_constants(delta3k):
-    """rho = sqrt(8) * d; tau and C do not depend on d: tau = 4, C = 9."""
+    """(rho, tau, C) for IHT at d = delta3k >= 0; only rho depends on d."""
     if delta3k < 0:
         raise ValueError("delta must be nonnegative")
-    return math.sqrt(8) * float(delta3k), 4.0, 9.0
+    return _constants("iht", delta3k)
+
+
+def recurrence_coefficients(algorithm, delta):
+    """Pairs (a, b) of the per-iteration inequalities err <= a err_prev + b nc.
+
+    sp gives its merge step, its prune step and their composition (rho, tau);
+    cosamp and iht give (rho, tau). Any delta >= 0 is accepted: past the
+    sp/cosamp pole (delta >= 1) every coefficient is +inf.
+    """
+    if not delta >= 0:
+        raise ValueError(f"delta must be nonnegative, got {delta!r}")
+    name = _family(algorithm)
+    if name == "ds":
+        raise ValueError("ds has no iteration recurrence")
+    return _recurrence(name, float(delta))[:-1]
+
+
+def rip_order(algorithm, k):
+    """Order of the isometry constant a guarantee reads: 4k for cosamp, k for the oracle, else 3k."""
+    name = str(getattr(algorithm, "value", algorithm)).lower()
+    return k if name == "oracle" else (4 if _family(name) == "cosamp" else 3) * k
 
 
 def ds_constant(delta3k):
@@ -120,12 +159,8 @@ def condition_check(algorithm, delta, second_delta=None):
     ds: delta_2K + delta_3K <= 1 (pass both values, order irrelevant).
     """
     name = _family(algorithm)
-    if name == "sp":
-        return bool(delta <= SP_CONDITION)
-    if name == "cosamp":
-        return bool(delta <= COSAMP_CONDITION)
-    if name == "iht":
-        return bool(delta <= IHT_CONDITION)
+    if name in CONDITIONS:
+        return bool(delta <= CONDITIONS[name])
     if second_delta is None:
         raise ValueError("the ds condition needs both delta_2K and delta_3K")
     return bool(delta + second_delta <= 1.0)
@@ -175,14 +210,7 @@ def bound_report(algorithm, params, noise_correlation=None, second_delta=None):
     condition_met = False marks them as non-guarantees.
     """
     name = _family(algorithm)
-    if name == "sp":
-        c = sp_constants(params.delta)[2]
-    elif name == "cosamp":
-        c = cosamp_constants(params.delta)[2]
-    elif name == "iht":
-        c = iht_constants(params.delta)[2]
-    else:
-        c = ds_constant(params.delta)
+    c = ds_constant(params.delta) if name == "ds" else _constants(name, params.delta)[2]
     det = None if noise_correlation is None else c * float(noise_correlation)
     return BoundReport(
         algorithm=name,

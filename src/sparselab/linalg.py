@@ -1,9 +1,9 @@
 """Dense linear-algebra substrate for sparse recovery.
 
 Dictionaries with unit-norm columns, index supports, restricted least
-squares, projections and residuals, and top-k magnitude selection. All
-operations are pure functions; the types are immutable after construction
-and safe to share across parallel workers.
+squares and top-k magnitude selection. All operations are pure functions;
+the types are immutable after construction and safe to share across
+parallel workers.
 """
 
 from dataclasses import dataclass, field
@@ -101,14 +101,8 @@ class SupportSet:
     def union(self, other):
         return SupportSet(tuple(sorted(set(self.indices) | set(other.indices))))
 
-    def intersect(self, other):
-        return SupportSet(tuple(sorted(set(self.indices) & set(other.indices))))
-
     def difference(self, other):
         return SupportSet(tuple(sorted(set(self.indices) - set(other.indices))))
-
-    def complement(self, n_atoms):
-        return SupportSet(tuple(sorted(set(range(n_atoms)) - set(self.indices))))
 
 
 @dataclass(frozen=True)
@@ -142,24 +136,6 @@ class SparseSignal:
 
     def on_support(self):
         return self.values[self.support.as_array()]
-
-
-@dataclass(frozen=True)
-class Measurement:
-    """An observed vector y = D x + e with optional noise bookkeeping."""
-
-    y: np.ndarray
-    noise: np.ndarray | None = None
-    sigma: float | None = None
-
-    def __post_init__(self):
-        y = np.asarray(self.y, dtype=np.float64).copy()
-        if not np.all(np.isfinite(y)):
-            raise NonFinite("measurement must be finite")
-        y.setflags(write=False)
-        object.__setattr__(self, "y", y)
-        if self.sigma is not None and self.sigma < 0:
-            raise ValueError("sigma must be nonnegative")
 
 
 def normalize_columns(matrix):
@@ -207,18 +183,6 @@ def least_squares_on_support(D, T, y):
     if rank < k:
         raise RankDeficient(f"D_T has numerical rank {rank} < |T| = {k}")
     return coef
-
-
-def project(y, D, T):
-    """Orthogonal projection of y onto span(D_T)."""
-    coef = least_squares_on_support(D, T, y)
-    return D.columns(T) @ coef
-
-
-def residual(y, D, T):
-    """y minus its projection onto span(D_T); orthogonal to every column of D_T."""
-    y = np.asarray(y, dtype=np.float64)
-    return y - project(y, D, T)
 
 
 def top_k_support(v, k):

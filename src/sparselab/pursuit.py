@@ -11,6 +11,7 @@ re-solved, and what the final answer is:
                     (no re-solve), final answer is the last pruned vector;
   iht               takes a unit gradient step and hard-thresholds.
 
+One loop runs all three, driven by a per-solver table of those choices.
 The asymmetry between the SP and CoSaMP final steps is deliberate.
 recurrence_diagnostics replays a trace against the per-iteration error
 inequalities that drive each solver's accuracy guarantee.
@@ -130,9 +131,10 @@ def _iterations_for(cfg, y):
     return practical_iteration_count(x_norm, cfg.k, h.sigma, cfg.max_iterations_cap)
 
 
-def _check_dims(D, k, factor):
-    if factor * k > D.m:
-        raise ValueError(f"need {factor}*k <= m, got k = {k}, m = {D.m}")
+def _check_dims(D, k, algorithm):
+    order = guarantees.rip_order(algorithm, k)
+    if order > D.m:
+        raise ValueError(f"{algorithm.value} needs rip order {order} <= m, got k = {k}, m = {D.m}")
 
 
 def _prune(merged, coef, k):
@@ -152,6 +154,66 @@ def _error_vs(x_true, n, support, values):
     if x_true is None:
         return None
     return float(np.linalg.norm(x_true.values - _dense(n, support, values)))
+
+
+# per solver: atoms added each iteration as a multiple of k (None: a unit
+# gradient step instead), and whether the pruned support is re-solved
+_RULES = {Algorithm.SP: (1, True), Algorithm.COSAMP: (2, False), Algorithm.IHT: (None, False)}
+
+
+def _pursue(algorithm, D, y, cfg, x_true):
+    """The iteration all three solvers share, driven by their _RULES entry."""
+    grow, resolve = _RULES[algorithm]
+    _check_dims(D, cfg.k, algorithm)
+    y = np.asarray(y, dtype=np.float64)
+    n_iters = _iterations_for(cfg, y)
+    n = D.n_atoms
+    y_norm = float(np.linalg.norm(y))
+    support = SupportSet(())
+    values = np.zeros(0)
+    y_r = y
+    trace = [] if cfg.trace_enabled else None
+    for ell in range(1, n_iters + 1):
+        if grow is None:
+            x_p = _dense(n, support, values)
+            x_p += D.entries.T @ y_r
+            pruned = top_k_support(x_p, cfg.k)
+            delta_support = merged = None
+            coefficients = values = x_p[pruned.as_array()]
+            if float(np.linalg.norm(values)) > DIVERGENCE_FACTOR * y_norm:
+                raise Divergence(
+                    f"iterate norm exceeded {DIVERGENCE_FACTOR:g} * ||y|| at iteration {ell}"
+                )
+        else:
+            delta_support = top_k_support(D.entries.T @ y_r, grow * cfg.k)
+            merged = support.union(delta_support)
+            coefficients = least_squares_on_support(D, merged, y)
+            pruned, kept_positions = _prune(merged, coefficients, cfg.k)
+            values = least_squares_on_support(D, pruned, y) if resolve else coefficients[kept_positions]
+        y_r = y - D.columns(pruned) @ values
+        if trace is not None:
+            trace.append(
+                IterationRecord(
+                    iteration=ell,
+                    support_before=support,
+                    delta_support=delta_support,
+                    merged_support=merged,
+                    pruned_support=pruned,
+                    coefficients=coefficients,
+                    estimate_values=values,
+                    residual_norm=float(np.linalg.norm(y_r)),
+                    estimate_error=_error_vs(x_true, n, pruned, values),
+                )
+            )
+        support = pruned
+    # SP's residual step already solved least squares on the final support
+    estimate = SparseSignal(_dense(n, support, values), support, cfg.k)
+    return PursuitResult(
+        estimate=estimate,
+        iterations_run=n_iters,
+        trace=tuple(trace) if trace is not None else None,
+        algorithm=algorithm,
+    )
 
 
 def subspace_pursuit(D, y, cfg, x_true=None):
@@ -175,45 +237,7 @@ def subspace_pursuit(D, y, cfg, x_true=None):
     -------
     PursuitResult
     """
-    _check_dims(D, cfg.k, 3)
-    y = np.asarray(y, dtype=np.float64)
-    n_iters = _iterations_for(cfg, y)
-    n = D.n_atoms
-    support = SupportSet(())
-    y_r = y
-    coef = np.zeros(0)
-    trace = [] if cfg.trace_enabled else None
-    for ell in range(1, n_iters + 1):
-        corr = D.entries.T @ y_r
-        delta_support = top_k_support(corr, cfg.k)
-        merged = support.union(delta_support)
-        coef_merged = least_squares_on_support(D, merged, y)
-        pruned, _ = _prune(merged, coef_merged, cfg.k)
-        coef = least_squares_on_support(D, pruned, y)
-        y_r = y - D.columns(pruned) @ coef
-        if trace is not None:
-            trace.append(
-                IterationRecord(
-                    iteration=ell,
-                    support_before=support,
-                    delta_support=delta_support,
-                    merged_support=merged,
-                    pruned_support=pruned,
-                    coefficients=coef_merged,
-                    estimate_values=coef,
-                    residual_norm=float(np.linalg.norm(y_r)),
-                    estimate_error=_error_vs(x_true, n, pruned, coef),
-                )
-            )
-        support = pruned
-    # the residual step already solved least squares on the final support
-    estimate = SparseSignal(_dense(n, support, coef), support, cfg.k)
-    return PursuitResult(
-        estimate=estimate,
-        iterations_run=n_iters,
-        trace=tuple(trace) if trace is not None else None,
-        algorithm=Algorithm.SP,
-    )
+    return _pursue(Algorithm.SP, D, y, cfg, x_true)
 
 
 def cosamp(D, y, cfg, x_true=None):
@@ -224,44 +248,7 @@ def cosamp(D, y, cfg, x_true=None):
     coefficients, and keep those coefficient values as the estimate (no
     re-solve). The residual is y minus the estimate's contribution.
     """
-    _check_dims(D, cfg.k, 4)
-    y = np.asarray(y, dtype=np.float64)
-    n_iters = _iterations_for(cfg, y)
-    n = D.n_atoms
-    support = SupportSet(())
-    y_r = y
-    est_values = np.zeros(0)
-    trace = [] if cfg.trace_enabled else None
-    for ell in range(1, n_iters + 1):
-        corr = D.entries.T @ y_r
-        delta_support = top_k_support(corr, 2 * cfg.k)
-        merged = support.union(delta_support)
-        coef_merged = least_squares_on_support(D, merged, y)
-        pruned, kept_positions = _prune(merged, coef_merged, cfg.k)
-        est_values = coef_merged[kept_positions]
-        y_r = y - D.columns(pruned) @ est_values
-        if trace is not None:
-            trace.append(
-                IterationRecord(
-                    iteration=ell,
-                    support_before=support,
-                    delta_support=delta_support,
-                    merged_support=merged,
-                    pruned_support=pruned,
-                    coefficients=coef_merged,
-                    estimate_values=est_values,
-                    residual_norm=float(np.linalg.norm(y_r)),
-                    estimate_error=_error_vs(x_true, n, pruned, est_values),
-                )
-            )
-        support = pruned
-    estimate = SparseSignal(_dense(n, support, est_values), support, cfg.k)
-    return PursuitResult(
-        estimate=estimate,
-        iterations_run=n_iters,
-        trace=tuple(trace) if trace is not None else None,
-        algorithm=Algorithm.COSAMP,
-    )
+    return _pursue(Algorithm.COSAMP, D, y, cfg, x_true)
 
 
 def iht(D, y, cfg, x_true=None):
@@ -272,47 +259,7 @@ def iht(D, y, cfg, x_true=None):
     1e6 ||y||_2, which signals that the operator-norm precondition of the
     unit step is violated.
     """
-    _check_dims(D, cfg.k, 3)
-    y = np.asarray(y, dtype=np.float64)
-    n_iters = _iterations_for(cfg, y)
-    n = D.n_atoms
-    y_norm = float(np.linalg.norm(y))
-    support = SupportSet(())
-    values = np.zeros(0)
-    y_r = y
-    trace = [] if cfg.trace_enabled else None
-    for ell in range(1, n_iters + 1):
-        x_p = _dense(n, support, values)
-        x_p += D.entries.T @ y_r
-        pruned = top_k_support(x_p, cfg.k)
-        values = x_p[pruned.as_array()]
-        if float(np.linalg.norm(values)) > DIVERGENCE_FACTOR * y_norm:
-            raise Divergence(
-                f"iterate norm exceeded {DIVERGENCE_FACTOR:g} * ||y|| at iteration {ell}"
-            )
-        y_r = y - D.columns(pruned) @ values
-        if trace is not None:
-            trace.append(
-                IterationRecord(
-                    iteration=ell,
-                    support_before=support,
-                    delta_support=None,
-                    merged_support=None,
-                    pruned_support=pruned,
-                    coefficients=values,
-                    estimate_values=values,
-                    residual_norm=float(np.linalg.norm(y_r)),
-                    estimate_error=_error_vs(x_true, n, pruned, values),
-                )
-            )
-        support = pruned
-    estimate = SparseSignal(_dense(n, support, values), support, cfg.k)
-    return PursuitResult(
-        estimate=estimate,
-        iterations_run=n_iters,
-        trace=tuple(trace) if trace is not None else None,
-        algorithm=Algorithm.IHT,
-    )
+    return _pursue(Algorithm.IHT, D, y, cfg, x_true)
 
 
 def oracle_estimator(D, y, T):
@@ -358,28 +305,25 @@ def _restricted_norm(x_true, support):
     return float(np.linalg.norm(x_true.values[idx]))
 
 
-def _sp_checks(records, x_true, delta, nc):
-    d = float(delta)
-    sq = (1 - d) ** 2
-    cb = (1 - d) ** 3
-    a_merge = 2 * d / sq if sq else math.inf
-    b_merge = 2 / sq if sq else math.inf
-    a_prune = (1 + d) / (1 - d) if d != 1 else math.inf
-    b_prune = 4 / (1 - d) if d != 1 else math.inf
-    rho = 2 * d * (1 + d) / cb if cb else math.inf
-    tau = (6 - 6 * d + 4 * d * d) / cb if cb else math.inf
+def _bound(a, prev, b, nc):
+    # an infinite coefficient (delta past the pole) bounds nothing: +inf, never inf * 0 = nan
+    return math.inf if math.inf in (a, b) else a * prev + b * nc
+
+
+def _sp_checks(records, x_true, merge, prune, composed, nc):
     T = x_true.support
     checks = []
     for r in records:
         miss_prev = _restricted_norm(x_true, T.difference(r.support_before))
         miss_merged = _restricted_norm(x_true, T.difference(r.merged_support))
         miss_pruned = _restricted_norm(x_true, T.difference(r.pruned_support))
-        pairs = (
-            ("merged_support_miss", miss_merged, a_merge * miss_prev + b_merge * nc),
-            ("pruned_support_miss", miss_pruned, a_prune * miss_merged + b_prune * nc),
-            ("composed_recurrence", miss_pruned, rho * miss_prev + tau * nc),
+        inequalities = (
+            ("merged_support_miss", miss_merged, merge, miss_prev),
+            ("pruned_support_miss", miss_pruned, prune, miss_merged),
+            ("composed_recurrence", miss_pruned, composed, miss_prev),
         )
-        for name, lhs, rhs in pairs:
+        for name, lhs, (a, b), prev in inequalities:
+            rhs = _bound(a, prev, b, nc)
             checks.append(DiagnosticCheck(r.iteration, name, lhs, rhs, _holds(lhs, rhs)))
     return checks
 
@@ -390,7 +334,7 @@ def _estimate_recurrence_checks(records, x_true, rho, tau, nc, n):
     for r in records:
         cur = _dense(n, r.pruned_support, r.estimate_values)
         lhs = float(np.linalg.norm(x_true.values - cur))
-        rhs = rho * float(np.linalg.norm(x_true.values - prev)) + tau * nc
+        rhs = _bound(rho, float(np.linalg.norm(x_true.values - prev)), tau, nc)
         checks.append(
             DiagnosticCheck(r.iteration, "estimate_recurrence", lhs, rhs, _holds(lhs, rhs))
         )
@@ -413,12 +357,13 @@ def recurrence_diagnostics(
 
     For SP verifies, at every iteration, the merged-support miss bound, the
     pruned-support miss bound, and their composition; for CoSaMP and IHT the
-    estimate-error recurrence. `delta` is the order-3k (SP, IHT) or order-4k
-    (CoSaMP) constant; when omitted it is computed exactly by enumeration
-    (subject to `budget`), and the worst-case noise correlation is computed
-    in the requested mode. The inequalities are only guarantees when the
-    family's condition holds (see condition_met); checks are evaluated and
-    reported regardless.
+    estimate-error recurrence. `delta` is the constant of order
+    guarantees.rip_order(algorithm, k); when omitted it is computed exactly
+    by enumeration (subject to `budget`), and the worst-case noise
+    correlation is computed in the requested mode. The inequalities are only
+    guarantees when the family's condition holds (see condition_met); checks
+    are evaluated and reported regardless. Past the SP/CoSaMP pole
+    (delta >= 1) every rhs is +inf, so those checks hold vacuously.
 
     Returns
     -------
@@ -430,23 +375,17 @@ def recurrence_diagnostics(
     if not trace:
         raise ValueError("empty trace; record with trace_enabled=True")
     k = x_true.k
-    order = 4 * k if algorithm is Algorithm.COSAMP else 3 * k
     if delta is None:
-        delta = metrics.rip_exact(D, order, budget=budget).delta
+        delta = metrics.rip_exact(D, guarantees.rip_order(algorithm, k), budget=budget).delta
     if noise_correlation is None:
         noise_correlation = metrics.worst_case_noise_correlation(D, e, k, mode=noise_mode).value
     nc = float(noise_correlation)
     d = float(delta)
+    steps = guarantees.recurrence_coefficients(algorithm, d)
     if algorithm is Algorithm.SP:
-        checks = _sp_checks(trace, x_true, d, nc)
-    elif algorithm is Algorithm.COSAMP:
-        sq = (1 - d) ** 2
-        rho = 4 * d / sq if sq else math.inf
-        tau = (14 - 6 * d) / sq if sq else math.inf
-        checks = _estimate_recurrence_checks(trace, x_true, rho, tau, nc, D.n_atoms)
+        checks = _sp_checks(trace, x_true, *steps, nc)
     else:
-        rho, tau, _ = guarantees.iht_constants(d)
-        checks = _estimate_recurrence_checks(trace, x_true, rho, tau, nc, D.n_atoms)
+        checks = _estimate_recurrence_checks(trace, x_true, *steps[0], nc, D.n_atoms)
     return DiagnosticsReport(
         algorithm=algorithm,
         k=k,

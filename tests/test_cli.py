@@ -182,6 +182,17 @@ class TestDiagnose:
         assert payload["condition_met"] is True
         assert payload["all_hold"] is True
 
+    @pytest.mark.parametrize("delta", ["1.0", "1.5"])
+    def test_exit_zero_past_the_pole(self, tmp_path, capsys, delta):
+        # every sp coefficient is +inf at delta >= 1: the checks hold vacuously, never nan
+        path = self.make_trace(tmp_path)
+        code, stdout, _ = run_cli(capsys, "diagnose", "--in", str(path), "--delta", delta)
+        assert code == 0
+        assert "rhs=inf ok" in stdout and "nan" not in stdout
+        payload = json.loads(stdout[stdout.index("{"):])
+        assert payload["condition_met"] is False
+        assert payload["all_hold"] is True
+
     def test_trace_without_noise_rejected(self, tmp_path, capsys):
         D = generate_dictionary(12, 18, 47)
         x = generate_signal(18, 2, 48)

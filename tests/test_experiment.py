@@ -110,6 +110,15 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="sp/iht"):
             small_config(k_values=(11,), algorithms=(Algorithm.SP,))
 
+    @pytest.mark.parametrize(
+        "alg, k_max", [(Algorithm.SP, 10), (Algorithm.IHT, 10), (Algorithm.COSAMP, 8), (Algorithm.ORACLE, 32)]
+    )
+    def test_rip_order_must_fit_in_m(self, alg, k_max):
+        # m = 32: sp/iht need 3k <= m, cosamp 4k <= m, the oracle k <= m
+        small_config(k_values=(k_max,), algorithms=(alg,), halting="fixed:2")
+        with pytest.raises(ConfigError, match=f"rip order {guarantees.rip_order(alg, k_max + 1)} of .*{alg.value}"):
+            small_config(k_values=(k_max + 1,), algorithms=(alg,), halting="fixed:2")
+
     def test_practical_halting_rejects_zero_sigma(self):
         with pytest.raises(ConfigError, match="practical"):
             small_config(sigma_values=(0.0,))

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from sparselab.errors import PoleViolation, RankDeficient
 from sparselab.guarantees import (
+    CONDITIONS,
     COSAMP_CONDITION,
     IHT_CONDITION,
     SP_CONDITION,
@@ -21,6 +22,8 @@ from sparselab.guarantees import (
     nearly_sparse_oracle_bound,
     oracle_mse_bound,
     oracle_mse_exact,
+    recurrence_coefficients,
+    rip_order,
     sp_constants,
     success_probability,
 )
@@ -130,6 +133,46 @@ class TestIhtConstants:
         assert iht_constants(0.1)[0] == pytest.approx(math.sqrt(8) * 0.1, rel=1e-15)
 
 
+class TestRecurrenceCoefficients:
+    @pytest.mark.parametrize("d", [0.0, 0.05, 0.139, 0.5])
+    def test_composed_step_is_rho_tau_of_the_constants(self, d):
+        for name, constants in (("sp", sp_constants), ("cosamp", cosamp_constants), ("iht", iht_constants)):
+            assert recurrence_coefficients(name, d)[-1] == constants(d)[:2]
+
+    def test_sp_half_steps(self):
+        d = Fraction(1, 10)
+        (am, bm), (ap, bp), _ = recurrence_coefficients("sp", 0.1)
+        assert am == pytest.approx(float(2 * d / (1 - d) ** 2), rel=1e-14)
+        assert bm == pytest.approx(float(2 / (1 - d) ** 2), rel=1e-14)
+        assert ap == pytest.approx(float((1 + d) / (1 - d)), rel=1e-14)
+        assert bp == pytest.approx(float(4 / (1 - d)), rel=1e-14)
+
+    @pytest.mark.parametrize("d", [1.0, 1.5, 2.5])
+    def test_infinite_past_the_pole(self, d):
+        for name, steps in (("sp", 3), ("cosamp", 1)):
+            pairs = recurrence_coefficients(name, d)
+            assert len(pairs) == steps
+            assert all(v == math.inf for pair in pairs for v in pair)
+        assert recurrence_coefficients("iht", d) == ((math.sqrt(8) * d, 4.0),)
+
+    def test_rejects_negative_nan_and_ds(self):
+        for bad in (-0.1, math.nan):
+            with pytest.raises(ValueError):
+                recurrence_coefficients("sp", bad)
+        with pytest.raises(ValueError):
+            recurrence_coefficients("ds", 0.1)
+
+
+class TestRipOrder:
+    def test_orders(self):
+        assert [rip_order(name, 5) for name in ("sp", "cosamp", "iht", "ds", "oracle")] == [15, 20, 15, 15, 5]
+        assert rip_order("COSAMP", 2) == 8
+
+    def test_unknown_family(self):
+        with pytest.raises(ValueError):
+            rip_order("omp", 2)
+
+
 class TestDsConstant:
     def test_value_near_condition_point(self):
         assert ds_constant(0.139) == pytest.approx(float(4 / (1 - Fraction(278, 1000))), rel=1e-14)
@@ -168,6 +211,12 @@ class TestConditionCheck:
         assert not condition_check("cosamp", COSAMP_CONDITION + 1e-9)
         assert condition_check("iht", IHT_CONDITION)
         assert not condition_check("iht", IHT_CONDITION + 1e-9)
+
+    def test_one_threshold_table(self):
+        assert CONDITIONS == {"sp": SP_CONDITION, "cosamp": COSAMP_CONDITION, "iht": IHT_CONDITION}
+        for name, threshold in CONDITIONS.items():
+            assert condition_check(name, threshold)
+            assert not condition_check(name, math.nextafter(threshold, 1))
 
     def test_ds_uses_sum_of_two_orders(self):
         assert condition_check("ds", 0.4, second_delta=0.6)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sparselab.errors import Divergence, IterationBudgetExceeded
-from sparselab.guarantees import oracle_mse_exact
+from sparselab.guarantees import cosamp_constants, iht_constants, oracle_mse_exact, sp_constants
 from sparselab.linalg import SupportSet, least_squares_on_support, normalize_columns
 from sparselab.metrics import worst_case_noise_correlation
 from sparselab.pursuit import (
@@ -149,6 +149,17 @@ class TestSubspacePursuit:
             assert set(rec.delta_support).issubset(merged)
             assert len(rec.merged_support) <= 2 * 2
             assert set(rec.pruned_support).issubset(merged)
+
+
+class TestDimensionGuards:
+    @pytest.mark.parametrize("name, factor", [("sp", 3), ("cosamp", 4), ("iht", 3)])
+    def test_rip_order_must_fit_in_m(self, name, factor):
+        D = random_dictionary(12, 24, 3)
+        y = np.random.default_rng(4).standard_normal(12)
+        k = 12 // factor
+        SOLVERS[name](D, y, PursuitConfig(k=k, halting=FixedIterations(1)))
+        with pytest.raises(ValueError, match="rip order"):
+            SOLVERS[name](D, y, PursuitConfig(k=k + 1, halting=FixedIterations(1)))
 
 
 class TestCosamp:
@@ -349,20 +360,61 @@ class TestRecurrenceDiagnostics:
         rep = recurrence_diagnostics(res.trace, x, e, D, "iht")
         assert {c.name for c in rep.checks} == {"estimate_recurrence"}
 
-    def test_explicit_delta_and_noise_correlation_respected(self):
+    @pytest.mark.parametrize("name", ["sp", "cosamp", "iht"])
+    def test_explicit_delta_and_noise_correlation_respected(self, name):
         D = near_orthonormal_dictionary()
         x = generate_signal(12, 2, 9)
         e = 0.2 * np.random.default_rng(51).standard_normal(12)
         y = D.entries @ x.values + e
         cfg = PursuitConfig(k=2, halting=FixedIterations(2))
-        res = iht(D, y, cfg, x_true=x)
-        rep = recurrence_diagnostics(res.trace, x, e, D, "iht", delta=0.05, noise_correlation=1.25)
-        assert rep.delta == 0.05
-        assert rep.noise_correlation == 1.25
-        nc = worst_case_noise_correlation(D, e, 2).value
-        rhs_expected = math.sqrt(8) * 0.05 * float(np.linalg.norm(x.values)) + 4 * 1.25
-        assert rep.checks[0].rhs == pytest.approx(rhs_expected, rel=1e-12)
-        assert nc != 1.25
+        res = SOLVERS[name](D, y, cfg, x_true=x)
+        d, nc = 0.05, 1.25
+        rep = recurrence_diagnostics(res.trace, x, e, D, name, delta=d, noise_correlation=nc)
+        assert rep.delta == d
+        assert rep.noise_correlation == nc
+        assert worst_case_noise_correlation(D, e, 2).value != nc
+        rho, tau, _ = {"sp": sp_constants, "cosamp": cosamp_constants, "iht": iht_constants}[name](d)
+        expected = []
+        if name == "sp":
+            T = set(x.support)
+
+            def miss(support):
+                return float(np.linalg.norm(x.values[sorted(T - set(support))]))
+
+            for r in res.trace:
+                prev, merged, pruned = miss(r.support_before), miss(r.merged_support), miss(r.pruned_support)
+                expected += [
+                    2 * d / (1 - d) ** 2 * prev + 2 / (1 - d) ** 2 * nc,
+                    (1 + d) / (1 - d) * merged + 4 / (1 - d) * nc,
+                    rho * prev + tau * nc,
+                ]
+        else:
+            prev = np.zeros(12)
+            for r in res.trace:
+                expected.append(rho * float(np.linalg.norm(x.values - prev)) + tau * nc)
+                prev = np.zeros(12)
+                prev[r.pruned_support.as_array()] = r.estimate_values
+        assert [c.rhs for c in rep.checks] == pytest.approx(expected, rel=1e-12)
+        if name == "iht":
+            assert rep.checks[0].rhs == pytest.approx(math.sqrt(8) * d * float(np.linalg.norm(x.values)) + 4 * nc, rel=1e-12)
+
+    @pytest.mark.parametrize("delta", [1.0, 1.5])
+    @pytest.mark.parametrize("name", ["sp", "cosamp", "iht"])
+    def test_past_the_pole_checks_hold_vacuously(self, name, delta):
+        # noiseless exact recovery: the miss and noise terms are zero, so an
+        # infinite coefficient times zero must not turn the rhs into nan
+        D = near_orthonormal_dictionary()
+        x = generate_signal(12, 2, 9)
+        e = np.zeros(12)
+        cfg = PursuitConfig(k=2, halting=FixedIterations(4))
+        res = SOLVERS[name](D, D.entries @ x.values, cfg, x_true=x)
+        assert np.allclose(res.estimate.values, x.values, atol=1e-9)
+        rep = recurrence_diagnostics(res.trace, x, e, D, name, delta=delta)
+        assert not any(math.isnan(c.rhs) for c in rep.checks)
+        assert not rep.condition_met
+        if name != "iht":
+            assert all(c.rhs == math.inf for c in rep.checks)
+            assert rep.all_hold
 
     def test_oracle_and_empty_trace_rejected(self):
         D = near_orthonormal_dictionary()
