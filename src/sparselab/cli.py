@@ -34,14 +34,7 @@ def _cmd_gen_dict(args):
 
 
 def _cmd_run(args):
-    cfg = parse_config(args.config)
-    if args.workers is not None:
-        if args.workers < 1:
-            raise ConfigError("workers must be >= 1")
-        workers = args.workers
-    else:
-        workers = cfg.workers
-    rows, records = run_experiment(cfg, workers=workers)
+    rows, records = run_experiment(parse_config(args.config), workers=args.workers)
     os.makedirs(args.out_dir, exist_ok=True)
     csv_path = os.path.join(args.out_dir, "results.csv")
     emit_results(rows, "csv", csv_path)

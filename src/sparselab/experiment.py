@@ -14,13 +14,13 @@ import hashlib
 import json
 import math
 import multiprocessing
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from . import guarantees
 from .errors import ConfigError, SparseLabError
-from .linalg import SparseSignal, SupportSet, least_squares_on_support, normalize_columns, top_k_support
+from .linalg import SparseSignal, SupportSet, normalize_columns
 from .metrics import rip_monte_carlo
 from .pursuit import (
     Algorithm,
@@ -62,7 +62,6 @@ class ExperimentConfig:
     a: float = 1.0
     halting: str = "practical"
     max_iterations_cap: int = 100
-    signal_model: str = "spikes"
     workers: int = 1
     delta_mode: str = "threshold"
     delta_mc_trials: int = 2000
@@ -89,12 +88,13 @@ class ExperimentConfig:
         if order > self.m:
             names = "/".join(alg.value for alg in Algorithm if guarantees.rip_order(alg, kmax) == order)
             raise ConfigError(f"rip order {order} of {names} exceeds m = {self.m} (max(k) = {kmax})")
-        _parse_halting(self.halting)
-        _parse_signal_model(self.signal_model)
-        if self.halting == "practical" and any(s == 0 for s in self.sigma_values):
-            raise ConfigError("the practical halting rule needs sigma > 0; use halting = fixed:<n>")
         if self.max_iterations_cap < 1:
             raise ConfigError("max_iterations_cap must be >= 1")
+        count = _fixed_count(self.halting)
+        if count is None and any(s == 0 for s in self.sigma_values):
+            raise ConfigError("the practical halting rule needs sigma > 0; use halting = fixed:<n>")
+        if count is not None and count > self.max_iterations_cap:
+            raise ConfigError(f"fixed halting count {count} exceeds max_iterations_cap {self.max_iterations_cap}")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
         if self.delta_mode not in ("threshold", "monte_carlo"):
@@ -132,9 +132,10 @@ class AggregateRow:
     condition_met: bool
 
 
-def _parse_halting(spec):
+def _fixed_count(spec):
+    """Parse a halting spec: None for 'practical', the count for 'fixed:<count>'."""
     if spec == "practical":
-        return spec
+        return None
     if spec.startswith("fixed:"):
         try:
             count = int(spec.split(":", 1)[1])
@@ -142,22 +143,8 @@ def _parse_halting(spec):
             raise ConfigError(f"bad halting spec {spec!r}; expected fixed:<count>") from None
         if count < 1:
             raise ConfigError("fixed halting count must be >= 1")
-        return spec
+        return count
     raise ConfigError(f"unknown halting {spec!r}; expected 'practical' or 'fixed:<count>'")
-
-
-def _parse_signal_model(spec):
-    if spec == "spikes":
-        return spec
-    if spec.startswith("compressible:"):
-        try:
-            p = float(spec.split(":", 1)[1])
-        except ValueError:
-            raise ConfigError(f"bad signal model {spec!r}; expected compressible:<exponent>") from None
-        if p <= 0:
-            raise ConfigError("compressible decay exponent must be positive")
-        return spec
-    raise ConfigError(f"unknown signal model {spec!r}")
 
 
 _CONFIG_KEYS = {
@@ -171,7 +158,6 @@ _CONFIG_KEYS = {
     "a": float,
     "halting": str,
     "max_iterations_cap": int,
-    "signal_model": str,
     "workers": int,
     "delta_mode": str,
     "delta_mc_trials": int,
@@ -234,14 +220,6 @@ def _spikes_from_rng(rng, n_atoms, k):
     return values, SupportSet(tuple(int(i) for i in support))
 
 
-def _compressible_from_rng(rng, n_atoms, k, p):
-    magnitudes = (np.arange(n_atoms) + 1.0) ** (-p)
-    signs = rng.integers(0, 2, size=n_atoms) * 2 - 1
-    values = np.empty(n_atoms)
-    values[rng.permutation(n_atoms)] = signs * magnitudes
-    return values, top_k_support(values, k)
-
-
 def generate_signal(n_atoms, k, seed):
     """Spike signal: uniform size-k support, entries 10 eps (1 + |n|).
 
@@ -252,13 +230,7 @@ def generate_signal(n_atoms, k, seed):
     return SparseSignal(values, support, k)
 
 
-def _halting_for(spec, sigma):
-    if spec == "practical":
-        return PracticalLogRule(sigma=sigma)
-    return FixedIterations(int(spec.split(":", 1)[1]))
-
-
-def run_trial(D, k, sigma, algorithms, seed, halting="practical", max_iterations_cap=100, signal_model="spikes"):
+def run_trial(D, k, sigma, algorithms, seed, halting="practical", max_iterations_cap=100):
     """One signal and noise draw; every requested algorithm sees the same y.
 
     Returns one TrialRecord per algorithm (in the order given). A solver
@@ -266,68 +238,47 @@ def run_trial(D, k, sigma, algorithms, seed, halting="practical", max_iterations
     the error category on that record rather than aborting the sweep.
     """
     rng = np.random.default_rng(seed)
-    if signal_model == "spikes":
-        x_values, true_support = _spikes_from_rng(rng, D.n_atoms, k)
-    else:
-        p = float(signal_model.split(":", 1)[1])
-        x_values, true_support = _compressible_from_rng(rng, D.n_atoms, k, p)
+    x_values, true_support = _spikes_from_rng(rng, D.n_atoms, k)
     e = sigma * rng.standard_normal(D.m)
     y = D.entries @ x_values + e
 
     oracle_result = oracle_estimator(D, y, true_support)
     oracle_sq = float(np.sum((x_values - oracle_result.estimate.values) ** 2))
 
-    records = []
+    count = _fixed_count(halting)
     cfg = PursuitConfig(
         k=k,
-        halting=_halting_for(halting, sigma),
+        halting=PracticalLogRule(sigma=sigma) if count is None else FixedIterations(count),
         max_iterations_cap=max_iterations_cap,
         trace_enabled=False,
     )
+    records = []
     for algorithm in algorithms:
-        if algorithm is Algorithm.ORACLE:
-            records.append(
-                TrialRecord(
-                    trial_index=seed,
-                    k=k,
-                    sigma=sigma,
-                    algorithm=algorithm.value,
-                    squared_error=oracle_sq,
-                    oracle_squared_error=oracle_sq,
-                    support_recovered=True,
-                    iterations_run=0,
-                )
+        # the oracle row reports the oracle's own draw: true support, no iterations
+        sq, recovered, iterations, error = oracle_sq, True, 0, None
+        if algorithm is not Algorithm.ORACLE:
+            try:
+                result = _SOLVERS[algorithm](D, y, cfg)
+            except (SparseLabError, np.linalg.LinAlgError) as exc:
+                sq, recovered = math.nan, False
+                error = exc.category if isinstance(exc, SparseLabError) else "LinAlgError"
+            else:
+                sq = float(np.sum((x_values - result.estimate.values) ** 2))
+                recovered = result.estimate.support == true_support
+                iterations = result.iterations_run
+        records.append(
+            TrialRecord(
+                trial_index=seed,
+                k=k,
+                sigma=sigma,
+                algorithm=algorithm.value,
+                squared_error=sq,
+                oracle_squared_error=oracle_sq,
+                support_recovered=recovered,
+                iterations_run=iterations,
+                error=error,
             )
-            continue
-        try:
-            result = _SOLVERS[algorithm](D, y, cfg)
-            sq = float(np.sum((x_values - result.estimate.values) ** 2))
-            records.append(
-                TrialRecord(
-                    trial_index=seed,
-                    k=k,
-                    sigma=sigma,
-                    algorithm=algorithm.value,
-                    squared_error=sq,
-                    oracle_squared_error=oracle_sq,
-                    support_recovered=result.estimate.support == true_support,
-                    iterations_run=result.iterations_run,
-                )
-            )
-        except (SparseLabError, np.linalg.LinAlgError) as exc:
-            records.append(
-                TrialRecord(
-                    trial_index=seed,
-                    k=k,
-                    sigma=sigma,
-                    algorithm=algorithm.value,
-                    squared_error=math.nan,
-                    oracle_squared_error=oracle_sq,
-                    support_recovered=False,
-                    iterations_run=0,
-                    error=exc.category if isinstance(exc, SparseLabError) else "LinAlgError",
-                )
-            )
+        )
     return records
 
 
@@ -340,7 +291,7 @@ def _worker_init(entries, cfg):
 
 
 def _worker_run(task):
-    point_index, trial_index, k, sigma = task
+    trial_index, k, sigma = task
     cfg = _WORKER_CTX["cfg"]
     records = run_trial(
         _WORKER_CTX["D"],
@@ -350,10 +301,8 @@ def _worker_run(task):
         trial_seed(cfg.seed, k, sigma, trial_index),
         halting=cfg.halting,
         max_iterations_cap=cfg.max_iterations_cap,
-        signal_model=cfg.signal_model,
     )
-    records = [replace(r, trial_index=trial_index) for r in records]
-    return point_index, trial_index, records
+    return [replace(r, trial_index=trial_index) for r in records]
 
 
 def _delta_for(cfg, D, algorithm, k):
@@ -367,11 +316,10 @@ def _delta_for(cfg, D, algorithm, k):
     return est.delta
 
 
-def _aggregate_point(cfg, D, k, sigma, algorithm, records):
+def _aggregate_point(cfg, k, sigma, algorithm, delta, records):
     clean = [r for r in records if r.error is None]
     errs = np.asarray([r.squared_error for r in clean])
     oracle = np.asarray([r.oracle_squared_error for r in records])
-    delta = _delta_for(cfg, D, algorithm, k)
     if algorithm is Algorithm.ORACLE:
         prob_bound = guarantees.oracle_mse_bound(k, delta, sigma) if delta < 1 else math.inf
         condition_met = delta < 1
@@ -410,40 +358,31 @@ def run_experiment(cfg, workers=None):
     Returns (aggregate rows, trial records), both in a deterministic order
     that does not depend on worker scheduling.
     """
-    cfg.validate()
     if workers is not None:
         cfg = replace(cfg, workers=workers)
+    cfg.validate()
     D = generate_dictionary(cfg.m, cfg.n_atoms, dictionary_seed(cfg.seed))
     points = [(k, sigma) for k in cfg.k_values for sigma in cfg.sigma_values]
-    tasks = [
-        (pi, t, k, sigma)
-        for pi, (k, sigma) in enumerate(points)
-        for t in range(cfg.trials_per_point)
-    ]
-    results = {}
-    if cfg.workers <= 1:
+    tasks = [(t, k, sigma) for k, sigma in points for t in range(cfg.trials_per_point)]
+    if cfg.workers == 1:
         _worker_init(D.entries, cfg)
-        for task in tasks:
-            pi, t, records = _worker_run(task)
-            results[(pi, t)] = records
+        per_trial = list(map(_worker_run, tasks))
     else:
         with multiprocessing.Pool(
             processes=cfg.workers, initializer=_worker_init, initargs=(D.entries, cfg)
         ) as pool:
-            for pi, t, records in pool.imap_unordered(_worker_run, tasks, chunksize=8):
-                results[(pi, t)] = records
-
-    all_records = []
+            per_trial = pool.map(_worker_run, tasks, chunksize=8)
+    records = [r for trial in per_trial for r in trial]
+    # the seed of the Monte-Carlo delta depends on (algorithm, order), never on sigma
+    deltas = {(alg, k): _delta_for(cfg, D, alg, k) for alg in cfg.algorithms for k in cfg.k_values}
     rows = []
+    size = cfg.trials_per_point * len(cfg.algorithms)
     for pi, (k, sigma) in enumerate(points):
-        point_records = []
-        for t in range(cfg.trials_per_point):
-            point_records.extend(results[(pi, t)])
-        all_records.extend(point_records)
+        point_records = records[pi * size : (pi + 1) * size]
         for algorithm in cfg.algorithms:
             alg_records = [r for r in point_records if r.algorithm == algorithm.value]
-            rows.append(_aggregate_point(cfg, D, k, sigma, algorithm, alg_records))
-    return rows, all_records
+            rows.append(_aggregate_point(cfg, k, sigma, algorithm, deltas[algorithm, k], alg_records))
+    return rows, records
 
 
 def _format_cell(value):
@@ -497,17 +436,7 @@ def read_results_csv(path):
 
 def emit_trials(records, path):
     """Write per-trial records as JSON lines."""
-    fields = (
-        "trial_index",
-        "k",
-        "sigma",
-        "algorithm",
-        "squared_error",
-        "oracle_squared_error",
-        "support_recovered",
-        "iterations_run",
-        "error",
-    )
+    names = [f.name for f in fields(TrialRecord)]
     with open(path, "w", newline="") as fh:
         for r in records:
-            fh.write(json.dumps({f: getattr(r, f) for f in fields}) + "\n")
+            fh.write(json.dumps({name: getattr(r, name) for name in names}) + "\n")

@@ -20,7 +20,8 @@ inequalities that drive each solver's accuracy guarantee.
 import enum
 import json
 import math
-from dataclasses import dataclass
+import typing
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -397,8 +398,28 @@ def recurrence_diagnostics(
     )
 
 
-def _support_json(s):
-    return None if s is None else [int(i) for i in s.indices]
+def _to_json(value):
+    if isinstance(value, SupportSet):
+        return list(value.indices)
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    return value
+
+
+def _support_from_json(lst):
+    return SupportSet(tuple(int(i) for i in lst))
+
+
+def _array_from_json(lst):
+    return np.asarray(lst, dtype=np.float64)
+
+
+# every IterationRecord field, in JSON key order, with the reader for its
+# annotated type; a None value reads back as None
+_READERS = {SupportSet: _support_from_json, np.ndarray: _array_from_json, int: int, float: float}
+_ITERATION_FIELDS = {
+    f.name: _READERS[(typing.get_args(f.type) or (f.type,))[0]] for f in fields(IterationRecord)
+}
 
 
 def write_trace(path, result, D, x_true=None, noise=None, sigma=None):
@@ -417,37 +438,22 @@ def write_trace(path, result, D, x_true=None, noise=None, sigma=None):
         "m": D.m,
         "n_atoms": D.n_atoms,
         "iterations_run": result.iterations_run,
-        "dictionary": [[float(v) for v in row] for row in D.entries],
+        "dictionary": D.entries.tolist(),
         "x_true": None
         if x_true is None
         else {
-            "values": [float(v) for v in x_true.values],
-            "support": _support_json(x_true.support),
+            "values": x_true.values.tolist(),
+            "support": _to_json(x_true.support),
             "k": x_true.k,
         },
-        "noise": None if noise is None else [float(v) for v in np.asarray(noise)],
+        "noise": None if noise is None else np.asarray(noise, dtype=np.float64).tolist(),
         "sigma": None if sigma is None else float(sigma),
     }
     with open(path, "w", newline="") as fh:
         fh.write(json.dumps(header) + "\n")
         for r in result.trace:
-            fh.write(
-                json.dumps(
-                    {
-                        "record": "iteration",
-                        "iteration": r.iteration,
-                        "support_before": _support_json(r.support_before),
-                        "delta_support": _support_json(r.delta_support),
-                        "merged_support": _support_json(r.merged_support),
-                        "pruned_support": _support_json(r.pruned_support),
-                        "coefficients": [float(v) for v in r.coefficients],
-                        "estimate_values": [float(v) for v in r.estimate_values],
-                        "residual_norm": r.residual_norm,
-                        "estimate_error": r.estimate_error,
-                    }
-                )
-                + "\n"
-            )
+            line = {name: _to_json(getattr(r, name)) for name in _ITERATION_FIELDS}
+            fh.write(json.dumps({"record": "iteration", **line}) + "\n")
 
 
 @dataclass(frozen=True)
@@ -460,10 +466,6 @@ class TraceBundle:
     noise: np.ndarray | None
     sigma: float | None
     iterations_run: int
-
-
-def _support_from_json(lst):
-    return None if lst is None else SupportSet(tuple(int(i) for i in lst))
 
 
 def read_trace(path):
@@ -485,19 +487,8 @@ def read_trace(path):
     for obj in lines[1:]:
         if obj.get("record") != "iteration":
             raise ValueError(f"{path}: unexpected record {obj.get('record')!r}")
-        records.append(
-            IterationRecord(
-                iteration=int(obj["iteration"]),
-                support_before=_support_from_json(obj["support_before"]),
-                delta_support=_support_from_json(obj["delta_support"]),
-                merged_support=_support_from_json(obj["merged_support"]),
-                pruned_support=_support_from_json(obj["pruned_support"]),
-                coefficients=np.asarray(obj["coefficients"], dtype=np.float64),
-                estimate_values=np.asarray(obj["estimate_values"], dtype=np.float64),
-                residual_norm=float(obj["residual_norm"]),
-                estimate_error=None if obj["estimate_error"] is None else float(obj["estimate_error"]),
-            )
-        )
+        values = {name: None if obj[name] is None else read(obj[name]) for name, read in _ITERATION_FIELDS.items()}
+        records.append(IterationRecord(**values))
     noise = None if h["noise"] is None else np.asarray(h["noise"], dtype=np.float64)
     return TraceBundle(
         algorithm=Algorithm(h["algorithm"]),

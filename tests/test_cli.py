@@ -139,6 +139,16 @@ class TestRun:
         assert run_cli(capsys, "run", "--config", str(cfg), "--out-dir", str(out2), "--workers", "2")[0] == 0
         assert (out1 / "results.csv").read_bytes() == (out2 / "results.csv").read_bytes()
 
+    def test_zero_workers_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(
+            "m = 32\nn_atoms = 64\nk_values = 2\nsigma_values = 1.0\n"
+            "trials_per_point = 4\nseed = 2\nalgorithms = sp\n"
+        )
+        code, _, stderr = run_cli(capsys, "run", "--config", str(cfg), "--out-dir", str(tmp_path / "o"), "--workers", "0")
+        assert code == 2
+        assert stderr.startswith("error[ConfigError]: workers must be >= 1")
+
 
 class TestDiagnose:
     def make_trace(self, tmp_path, well_conditioned=False):

@@ -1,8 +1,10 @@
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sparselab import experiment
 from sparselab.errors import ConfigError
@@ -21,7 +23,7 @@ from sparselab.experiment import (
     trial_seed,
 )
 from sparselab import guarantees
-from sparselab.metrics import mutual_coherence
+from sparselab.metrics import mutual_coherence, rip_monte_carlo
 from sparselab.pursuit import Algorithm
 
 
@@ -101,6 +103,106 @@ class TestConfigParsing:
             parse_config(path)
 
 
+@st.composite
+def valid_settings(draw):
+    """Keyword arguments of an ExperimentConfig that validates; optional keys may be absent."""
+    algorithms = draw(st.lists(st.sampled_from(list(Algorithm)), min_size=1, max_size=4, unique=True))
+    m = draw(st.integers(min_value=4, max_value=64))
+    k_max = m // max(guarantees.rip_order(alg, 1) for alg in algorithms)
+    cap = draw(st.none() | st.integers(min_value=1, max_value=1000))
+    fixed = st.integers(min_value=1, max_value=cap or 100).map(lambda n: f"fixed:{n}")
+    halting = draw(st.none() | st.just("practical") | fixed)
+    sigma = st.floats(min_value=0.0, max_value=1e6, exclude_min=halting in (None, "practical"))
+    optional = dict(
+        a=draw(st.none() | st.floats(min_value=0.0, max_value=1e6, exclude_min=True)),
+        halting=halting,
+        max_iterations_cap=cap,
+        workers=draw(st.none() | st.integers(min_value=1, max_value=64)),
+        delta_mode=draw(st.none() | st.sampled_from(["threshold", "monte_carlo"])),
+        delta_mc_trials=draw(st.none() | st.integers(min_value=1, max_value=10**6)),
+    )
+    return dict(
+        m=m,
+        n_atoms=draw(st.integers(min_value=m, max_value=4 * m)),
+        k_values=tuple(draw(st.lists(st.integers(min_value=1, max_value=k_max), min_size=1, max_size=4, unique=True))),
+        sigma_values=tuple(draw(st.lists(sigma, min_size=1, max_size=4, unique=True))),
+        trials_per_point=draw(st.integers(min_value=1, max_value=10**6)),
+        seed=draw(st.integers(min_value=0, max_value=2**64)),
+        algorithms=tuple(algorithms),
+        **{key: value for key, value in optional.items() if value is not None},
+    )
+
+
+def config_text(settings_):
+    def cell(value):
+        if isinstance(value, tuple):
+            return ", ".join(cell(v) for v in value)
+        if isinstance(value, Algorithm):
+            return value.value
+        return repr(value) if isinstance(value, float) else str(value)
+
+    return "".join(f"{key} = {cell(value)}\n" for key, value in settings_.items())
+
+
+# values no valid config may hold, per key
+MALFORMED = {
+    "m": ["0", "-3", "eight", "1.5", ""],
+    "n_atoms": ["0", "2.0", "many"],
+    "k_values": ["0", "-1", "2.5", "", "1,,2", "1, 1", "100000"],
+    "sigma_values": ["nan", "inf", "-1.0", "", "x", "0.5, 0.5"],
+    "trials_per_point": ["0", "-2", "1e3"],
+    "seed": ["s", "1.0", ""],
+    "algorithms": ["omp", "", "sp,,iht"],
+    "a": ["0", "-1.0", "nan", "inf", "x"],
+    "halting": ["fixed:0", "fixed:x", "fixed:", "sometimes", "", "fixed:100000"],
+    "max_iterations_cap": ["0", "-1", "x"],
+    "workers": ["0", "-1", "x"],
+    "delta_mode": ["exact", ""],
+    "delta_mc_trials": ["0", "x"],
+}
+
+
+class TestConfigProperties:
+    @pytest.fixture(scope="class")
+    def path(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("cfg") / "exp.cfg"
+
+    def write_with(self, path, settings_, key, value):
+        """The config of settings_ with key's line (added if absent) holding value."""
+        others = {k: v for k, v in settings_.items() if k != key}
+        path.write_text(config_text(others) + f"{key} = {value}\n", encoding="utf-8")
+
+    @given(valid_settings())
+    @settings(deadline=None, max_examples=150)
+    def test_valid_configs_round_trip(self, path, settings_):
+        path.write_text(config_text(settings_), encoding="utf-8")
+        cfg = parse_config(path)
+        want = ExperimentConfig(**settings_)
+        for f in fields(ExperimentConfig):
+            assert getattr(cfg, f.name) == getattr(want, f.name), f.name
+
+    @given(valid_settings(), st.sampled_from(sorted(MALFORMED)), st.data())
+    @settings(deadline=None, max_examples=150)
+    def test_one_malformed_value_is_a_config_error(self, path, settings_, key, data):
+        self.write_with(path, settings_, key, data.draw(st.sampled_from(MALFORMED[key])))
+        with pytest.raises(ConfigError):
+            parse_config(path)
+
+    @given(
+        valid_settings(),
+        st.sampled_from(sorted(MALFORMED)),
+        st.text(st.characters(exclude_categories=("Cs",), exclude_characters="\n\r")),
+    )
+    @settings(deadline=None, max_examples=300)
+    def test_any_one_value_parses_or_is_a_config_error(self, path, settings_, key, value):
+        # any exception type other than ConfigError fails the test
+        self.write_with(path, settings_, key, value)
+        try:
+            parse_config(path)
+        except ConfigError:
+            pass
+
+
 class TestConfigValidation:
     def test_cosamp_needs_4k_measurements(self):
         with pytest.raises(ConfigError, match="cosamp"):
@@ -124,6 +226,12 @@ class TestConfigValidation:
             small_config(sigma_values=(0.0,))
         # fixed halting is fine with zero noise
         small_config(sigma_values=(0.0,), halting="fixed:5")
+
+    def test_fixed_halting_over_the_cap(self):
+        # caught here, not by the first trial's IterationBudgetExceeded mid-sweep
+        with pytest.raises(ConfigError, match="fixed halting count 150 exceeds max_iterations_cap 100"):
+            small_config(halting="fixed:150")
+        small_config(halting="fixed:150", max_iterations_cap=150)
 
     def test_empty_algorithms(self):
         with pytest.raises(ConfigError, match="empty"):
@@ -277,6 +385,10 @@ class TestRunExperiment:
         assert rows1 == rows2
         assert recs1 == recs2
 
+    def test_workers_override_is_validated(self):
+        with pytest.raises(ConfigError, match="workers must be >= 1"):
+            run_experiment(small_config(), workers=0)
+
     def test_threshold_bounds_match_direct_computation(self):
         cfg = small_config(trials_per_point=3)
         rows, _ = run_experiment(cfg)
@@ -289,6 +401,20 @@ class TestRunExperiment:
         assert sp_row.condition_met
         oracle_row = next(r for r in rows if r.algorithm == "oracle")
         assert oracle_row.prob_bound == pytest.approx(3 * 0.25, rel=1e-12)
+
+    def test_monte_carlo_delta_once_per_algorithm_and_k(self, monkeypatch):
+        calls = []
+
+        def counting(D, order, **kwargs):
+            calls.append(order)
+            return rip_monte_carlo(D, order, **kwargs)
+
+        monkeypatch.setattr(experiment, "rip_monte_carlo", counting)
+        cfg = small_config(
+            k_values=(2, 3), sigma_values=(0.5, 1.0, 2.0), trials_per_point=1, delta_mode="monte_carlo", delta_mc_trials=20
+        )
+        run_experiment(cfg)
+        assert len(calls) == len(cfg.algorithms) * len(cfg.k_values)
 
     def test_monte_carlo_delta_mode_runs(self):
         cfg = small_config(trials_per_point=2, delta_mode="monte_carlo", delta_mc_trials=50)

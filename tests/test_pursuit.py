@@ -276,17 +276,19 @@ class TestDeterminism:
 
 
 class TestTraceRoundTrip:
-    def test_all_fields_survive(self, tmp_path):
+    @pytest.mark.parametrize("name", ["sp", "cosamp", "iht"])
+    def test_all_fields_survive(self, tmp_path, name):
+        # iht records no delta_support or merged_support, so None fields round-trip too
         D = random_dictionary(12, 20, 39)
         x = generate_signal(20, 2, 40)
         e = 0.3 * np.random.default_rng(41).standard_normal(12)
         y = D.entries @ x.values + e
         cfg = PursuitConfig(k=2, halting=FixedIterations(3))
-        res = subspace_pursuit(D, y, cfg, x_true=x)
+        res = SOLVERS[name](D, y, cfg, x_true=x)
         path = tmp_path / "trace.jsonl"
         write_trace(path, res, D, x_true=x, noise=e, sigma=0.3)
         bundle = read_trace(path)
-        assert bundle.algorithm is Algorithm.SP
+        assert bundle.algorithm is Algorithm(name)
         assert bundle.k == 2
         assert bundle.iterations_run == res.iterations_run
         assert np.array_equal(bundle.dictionary.entries, D.entries)
@@ -304,6 +306,20 @@ class TestTraceRoundTrip:
             assert np.array_equal(got.estimate_values, want.estimate_values)
             assert got.residual_norm == want.residual_norm
             assert got.estimate_error == want.estimate_error
+
+    def test_header_without_truth_or_noise(self, tmp_path):
+        D = random_dictionary(12, 20, 39)
+        y = np.random.default_rng(42).standard_normal(12)
+        res = cosamp(D, y, PursuitConfig(k=2, halting=FixedIterations(2)))
+        path = tmp_path / "trace.jsonl"
+        write_trace(path, res, D)
+        bundle = read_trace(path)
+        assert bundle.x_true is None and bundle.noise is None and bundle.sigma is None
+        assert np.array_equal(bundle.dictionary.entries, D.entries)
+        for got, want in zip(bundle.records, res.trace, strict=True):
+            assert got.estimate_error is None
+            assert got.pruned_support == want.pruned_support
+            assert np.array_equal(got.coefficients, want.coefficients)
 
     def test_trace_disabled_gives_no_trace(self):
         D = random_dictionary(10, 18, 42)
