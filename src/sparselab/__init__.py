@@ -20,8 +20,6 @@ from .guarantees import (
     ds_constant,
     iht_constants,
     near_oracle_bound,
-    nearly_sparse_bound,
-    nearly_sparse_oracle_bound,
     oracle_mse_bound,
     oracle_mse_exact,
     recurrence_coefficients,
@@ -33,7 +31,6 @@ from .linalg import (
     Dictionary,
     SparseSignal,
     SupportSet,
-    best_k_approx,
     export_dictionary_csv,
     import_dictionary_csv,
     least_squares_on_support,
@@ -41,7 +38,6 @@ from .linalg import (
     top_k_support,
 )
 from .metrics import (
-    CorrelationMode,
     NoiseCorrelation,
     RipEstimate,
     RipMethod,

@@ -12,11 +12,10 @@ exit nonzero, so callers can branch on the category without parsing prose.
 """
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
-
-import numpy as np
 
 from . import guarantees
 from .errors import ConfigError, SparseLabError
@@ -74,18 +73,7 @@ def _cmd_rip(args):
         est = rip_exact(D, args.k, budget=args.budget)
     else:
         est = rip_monte_carlo(D, args.k, trials=args.trials, seed=args.seed)
-    print(
-        json.dumps(
-            {
-                "k": est.k,
-                "delta": est.delta,
-                "method": est.method.value,
-                "supports_checked": est.supports_checked,
-                "seed": est.seed,
-            },
-            indent=2,
-        )
-    )
+    print(json.dumps({**dataclasses.asdict(est), "method": est.method.value}, indent=2))
     return 0
 
 

@@ -33,20 +33,6 @@ from .pursuit import (
     subspace_pursuit,
 )
 
-CSV_COLUMNS = (
-    "k",
-    "sigma",
-    "algorithm",
-    "trials",
-    "mse",
-    "median_se",
-    "p99_se",
-    "oracle_mse",
-    "prob_bound",
-    "bound_violation_rate",
-    "condition_met",
-)
-
 _SOLVERS = {Algorithm.SP: subspace_pursuit, Algorithm.COSAMP: cosamp, Algorithm.IHT: iht}
 
 
@@ -81,6 +67,8 @@ class ExperimentConfig:
             raise ConfigError("trials_per_point must be >= 1")
         if not self.algorithms:
             raise ConfigError("algorithms list is empty")
+        if len(set(self.algorithms)) != len(self.algorithms):
+            raise ConfigError("algorithms has duplicate entries")
         if not (math.isfinite(self.a) and self.a > 0):
             raise ConfigError("probability exponent a must be positive and finite")
         kmax = max(self.k_values)
@@ -130,6 +118,9 @@ class AggregateRow:
     prob_bound: float
     bound_violation_rate: float
     condition_met: bool
+
+
+CSV_COLUMNS = tuple(f.name for f in fields(AggregateRow))
 
 
 def _fixed_count(spec):
@@ -327,9 +318,10 @@ def _aggregate_point(cfg, k, sigma, algorithm, delta, records):
         params = guarantees.GuaranteeParams(
             a=cfg.a, n_atoms=cfg.n_atoms, k=k, sigma=sigma, delta=min(delta, math.nextafter(1, 0))
         )
-        report = guarantees.bound_report(algorithm.value, params, second_delta=None)
+        report = guarantees.bound_report(algorithm.value, params)
         prob_bound = report.probabilistic_bound
-        condition_met = guarantees.condition_check(algorithm.value, delta)
+        # clamping delta >= 1 cannot flip the flag: every threshold is below 1
+        condition_met = report.condition_met
     if errs.size:
         mse = float(np.mean(errs))
         median_se = float(np.median(errs))
@@ -407,30 +399,23 @@ def emit_results(rows, format, path):
                 fh.write(json.dumps({col: getattr(row, col) for col in CSV_COLUMNS}) + "\n")
 
 
+# the reader of each AggregateRow cell, by the field's annotated type
+_CELL_READERS = {int: int, float: float, str: str, bool: lambda cell: cell == "true"}
+
+
 def read_results_csv(path):
     """Round-trip reader for emit_results(..., "csv", ...)."""
+    readers = [_CELL_READERS[f.type] for f in fields(AggregateRow)]
     rows = []
     with open(path) as fh:
         header = fh.readline().strip()
         if header != ",".join(CSV_COLUMNS):
             raise ValueError(f"{path}: unexpected header {header!r}")
-        for line in fh:
+        for lineno, line in enumerate(fh, 2):
             cells = line.strip().split(",")
-            rows.append(
-                AggregateRow(
-                    k=int(cells[0]),
-                    sigma=float(cells[1]),
-                    algorithm=cells[2],
-                    trials=int(cells[3]),
-                    mse=float(cells[4]),
-                    median_se=float(cells[5]),
-                    p99_se=float(cells[6]),
-                    oracle_mse=float(cells[7]),
-                    prob_bound=float(cells[8]),
-                    bound_violation_rate=float(cells[9]),
-                    condition_met=cells[10] == "true",
-                )
-            )
+            if len(cells) != len(readers):
+                raise ValueError(f"{path}:{lineno}: expected {len(readers)} cells, got {len(cells)}")
+            rows.append(AggregateRow(*(read(cell) for read, cell in zip(readers, cells))))
     return rows
 
 

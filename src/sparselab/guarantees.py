@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PoleViolation, RankDeficient
-from .linalg import best_k_approx
 
 SP_CONDITION = 0.139
 COSAMP_CONDITION = 0.1
@@ -28,6 +27,11 @@ IHT_CONDITION = 1 / math.sqrt(32)
 CONDITIONS = {"sp": SP_CONDITION, "cosamp": COSAMP_CONDITION, "iht": IHT_CONDITION}
 
 _FAMILIES = ("sp", "cosamp", "iht", "ds")
+
+
+def _check_delta(delta):
+    if not 0 <= delta < 1:
+        raise ValueError(f"delta must lie in [0, 1), got {delta!r}")
 
 
 @dataclass(frozen=True)
@@ -49,8 +53,7 @@ class GuaranteeParams:
             raise ValueError("k must be >= 1")
         if self.sigma < 0:
             raise ValueError("sigma must be nonnegative")
-        if not 0 <= self.delta < 1:
-            raise ValueError(f"delta must lie in [0, 1), got {self.delta!r}")
+        _check_delta(self.delta)
 
 
 @dataclass(frozen=True)
@@ -61,11 +64,6 @@ class BoundReport:
     probabilistic_bound: float
     success_probability: float
     deterministic_bound: float | None = None
-
-
-def _check_delta(delta):
-    if not 0 <= delta < 1:
-        raise ValueError(f"delta must lie in [0, 1), got {delta!r}")
 
 
 def _recurrence(name, d):
@@ -220,45 +218,3 @@ def bound_report(algorithm, params, noise_correlation=None, second_delta=None):
         success_probability=success_probability(params.a, params.n_atoms),
         deterministic_bound=det,
     )
-
-
-def _tail_norms(x, k):
-    x = np.asarray(x, dtype=np.float64)
-    tail = x - best_k_approx(x, k).values
-    return float(np.linalg.norm(tail)), float(np.sum(np.abs(tail)))
-
-
-def nearly_sparse_bound(c, delta_k, params, x, noise_correlation):
-    """Error bounds when x is only approximately k-sparse.
-
-    Returns (deterministic, probabilistic):
-
-      deterministic = C (nc + (1+d) t2 + (1+d)/sqrt(K) t1)
-      probabilistic = 2 C^2 (sqrt((1+a) ln(N) K) sigma + t2 + t1/sqrt(K))^2
-
-    where t2, t1 are the l2/l1 norms of x minus its best k-term approximation
-    and nc fills the worst-case noise-correlation slot.
-    """
-    _check_delta(delta_k)
-    t2, t1 = _tail_norms(x, params.k)
-    rk = math.sqrt(params.k)
-    det = c * (float(noise_correlation) + (1 + delta_k) * t2 + (1 + delta_k) / rk * t1)
-    prob = (
-        2.0
-        * c
-        * c
-        * (math.sqrt((1 + params.a) * math.log(params.n_atoms) * params.k) * params.sigma + t2 + t1 / rk) ** 2
-    )
-    return det, prob
-
-
-def nearly_sparse_oracle_bound(delta_k, k, sigma, x):
-    """Oracle MSE bound for approximately k-sparse x.
-
-    (1/(1-d)) ((1 + sqrt(1+d)) t2 + sqrt(1+d)/sqrt(K) t1 + sqrt(K) sigma)^2.
-    """
-    _check_delta(delta_k)
-    t2, t1 = _tail_norms(x, k)
-    d = float(delta_k)
-    inner = (1 + math.sqrt(1 + d)) * t2 + math.sqrt(1 + d) / math.sqrt(k) * t1 + math.sqrt(k) * sigma
-    return inner * inner / (1.0 - d)

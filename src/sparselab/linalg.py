@@ -74,14 +74,6 @@ class SupportSet:
             raise ValueError("support indices must be nonnegative")
         object.__setattr__(self, "indices", idx)
 
-    @classmethod
-    def from_iterable(cls, it):
-        """Build from any iterable; sorts and rejects duplicates."""
-        idx = sorted(int(i) for i in it)
-        if any(b == a for a, b in zip(idx, idx[1:])):
-            raise ValueError("duplicate support index")
-        return cls(tuple(idx))
-
     @property
     def cardinality(self):
         return len(self.indices)
@@ -198,16 +190,6 @@ def top_k_support(v, k):
     # stable sort on -|v| keeps the earlier index first among equal magnitudes
     order = np.argsort(-np.abs(v), kind="stable")
     return SupportSet(tuple(sorted(int(i) for i in order[:k])))
-
-
-def best_k_approx(x, k):
-    """Best k-term approximation: keep the k dominant entries, zero the rest."""
-    x = np.asarray(x, dtype=np.float64)
-    support = top_k_support(x, k)
-    values = np.zeros_like(x)
-    idx = support.as_array()
-    values[idx] = x[idx]
-    return SparseSignal(values, support, k)
 
 
 def export_dictionary_csv(D, path):

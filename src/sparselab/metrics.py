@@ -47,11 +47,6 @@ class RipMethod(enum.Enum):
     MONTE_CARLO_LOWER_BOUND = "monte_carlo_lower_bound"
 
 
-class CorrelationMode(enum.Enum):
-    EXACT = "exact"
-    SQRT_K_MAX_BOUND = "sqrt_k_max_bound"
-
-
 @dataclass(frozen=True)
 class RipEstimate:
     k: int
@@ -65,8 +60,7 @@ class RipEstimate:
 class NoiseCorrelation:
     k: int
     value: float
-    mode: CorrelationMode
-    argmax_support: SupportSet | None = None
+    argmax_support: SupportSet
 
 
 def mutual_coherence(D):
@@ -259,17 +253,14 @@ def rip_monte_carlo(D, k, trials, seed):
     )
 
 
-def worst_case_noise_correlation(
-    D, e, k, mode=CorrelationMode.EXACT, use_enumeration=False, budget=ENUMERATION_BUDGET
-):
+def worst_case_noise_correlation(D, e, k, use_enumeration=False, budget=ENUMERATION_BUDGET):
     """Worst correlation of any size-k column subset with the vector e.
 
-    Exact mode returns max over |T| = k of ||D_T* e||_2 together with the
-    maximizing support. The maximizer is the set of k largest |<d_i, e>|,
-    so the default path sorts squared correlations instead of enumerating;
-    pass use_enumeration=True to force the brute-force oracle (subject to
-    `budget`). SQRT_K_MAX_BOUND returns sqrt(k) * max_i |<d_i, e>|, an upper
-    bound on the exact value.
+    Returns max over |T| = k of ||D_T* e||_2 together with the maximizing
+    support. The maximizer is the set of k largest |<d_i, e>|, so the
+    default path sorts squared correlations instead of enumerating; pass
+    use_enumeration=True to force the brute-force oracle (subject to
+    `budget`).
     """
     e = np.asarray(e, dtype=np.float64)
     if not np.all(np.isfinite(e)):
@@ -278,15 +269,12 @@ def worst_case_noise_correlation(
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= {n}, got {k}")
     corr = D.entries.T @ e
-    if mode is CorrelationMode.SQRT_K_MAX_BOUND:
-        value = math.sqrt(k) * float(np.max(np.abs(corr))) if k else 0.0
-        return NoiseCorrelation(k=k, value=value, mode=mode)
     if k == 0:
-        return NoiseCorrelation(k=0, value=0.0, mode=mode, argmax_support=SupportSet(()))
+        return NoiseCorrelation(k=0, value=0.0, argmax_support=SupportSet(()))
     if not use_enumeration:
         support = top_k_support(corr, k)
         value = float(np.linalg.norm(corr[support.as_array()]))
-        return NoiseCorrelation(k=k, value=value, mode=mode, argmax_support=support)
+        return NoiseCorrelation(k=k, value=value, argmax_support=support)
     total = math.comb(n, k)
     if budget is not None and total > budget:
         raise BudgetExceeded(f"C({n},{k}) = {total} supports exceeds budget {budget}")
@@ -300,6 +288,4 @@ def worst_case_noise_correlation(
         if float(sums[pos]) > best:
             best = float(sums[pos])
             best_support = SupportSet(tuple(int(i) for i in idx[pos]))
-    return NoiseCorrelation(
-        k=k, value=math.sqrt(best), mode=CorrelationMode.EXACT, argmax_support=best_support
-    )
+    return NoiseCorrelation(k=k, value=math.sqrt(best), argmax_support=best_support)

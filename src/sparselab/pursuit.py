@@ -56,21 +56,17 @@ class FixedIterations:
 
 @dataclass(frozen=True)
 class PracticalLogRule:
-    """Halt after ceil(log2(x_norm / (sqrt(k) sigma))) iterations.
+    """Halt after ceil(log2(||y||_2 / (sqrt(k) sigma))) iterations.
 
-    x_norm defaults to ||y||_2 at solve time, the estimate available to a
-    solver that does not know the true signal; pass the true norm for
-    bound-faithful runs.
+    ||y||_2 stands in for the norm of the signal, the estimate available to
+    a solver that does not know the true signal.
     """
 
     sigma: float
-    x_norm: float | None = None
 
     def __post_init__(self):
         if self.sigma <= 0:
             raise ValueError("the log halting rule needs sigma > 0")
-        if self.x_norm is not None and self.x_norm <= 0:
-            raise ValueError("x_norm must be positive when given")
 
 
 @dataclass(frozen=True)
@@ -126,10 +122,7 @@ def _iterations_for(cfg, y):
     h = cfg.halting
     if isinstance(h, FixedIterations):
         return h.count
-    x_norm = h.x_norm if h.x_norm is not None else float(np.linalg.norm(y))
-    if x_norm <= 0:
-        return 1
-    return practical_iteration_count(x_norm, cfg.k, h.sigma, cfg.max_iterations_cap)
+    return practical_iteration_count(float(np.linalg.norm(y)), cfg.k, h.sigma, cfg.max_iterations_cap)
 
 
 def _check_dims(D, k, algorithm):
@@ -285,7 +278,6 @@ class DiagnosticsReport:
     k: int
     delta: float
     noise_correlation: float
-    noise_mode: metrics.CorrelationMode
     condition_met: bool
     checks: tuple
 
@@ -351,7 +343,6 @@ def recurrence_diagnostics(
     algorithm,
     delta=None,
     noise_correlation=None,
-    noise_mode=metrics.CorrelationMode.EXACT,
     budget=metrics.ENUMERATION_BUDGET,
 ):
     """Check the per-iteration error inequalities against a recorded trace.
@@ -360,11 +351,12 @@ def recurrence_diagnostics(
     pruned-support miss bound, and their composition; for CoSaMP and IHT the
     estimate-error recurrence. `delta` is the constant of order
     guarantees.rip_order(algorithm, k); when omitted it is computed exactly
-    by enumeration (subject to `budget`), and the worst-case noise
-    correlation is computed in the requested mode. The inequalities are only
-    guarantees when the family's condition holds (see condition_met); checks
-    are evaluated and reported regardless. Past the SP/CoSaMP pole
-    (delta >= 1) every rhs is +inf, so those checks hold vacuously.
+    by enumeration (subject to `budget`), and an omitted noise correlation
+    is the exact worst case, max over |T| = k of ||D_T* e||_2. The
+    inequalities are only guarantees when the family's condition holds (see
+    condition_met); checks are evaluated and reported regardless. Past the
+    SP/CoSaMP pole (delta >= 1) every rhs is +inf, so those checks hold
+    vacuously.
 
     Returns
     -------
@@ -379,7 +371,7 @@ def recurrence_diagnostics(
     if delta is None:
         delta = metrics.rip_exact(D, guarantees.rip_order(algorithm, k), budget=budget).delta
     if noise_correlation is None:
-        noise_correlation = metrics.worst_case_noise_correlation(D, e, k, mode=noise_mode).value
+        noise_correlation = metrics.worst_case_noise_correlation(D, e, k).value
     nc = float(noise_correlation)
     d = float(delta)
     steps = guarantees.recurrence_coefficients(algorithm, d)
@@ -392,7 +384,6 @@ def recurrence_diagnostics(
         k=k,
         delta=d,
         noise_correlation=nc,
-        noise_mode=noise_mode,
         condition_met=guarantees.condition_check(algorithm.value, d),
         checks=tuple(checks),
     )

@@ -28,6 +28,9 @@ class TestGenDict:
 
 
 class TestRip:
+    # the payload is derived from RipEstimate's fields; its key order is part of the output
+    RIP_KEYS = ["k", "delta", "method", "supports_checked", "seed"]
+
     @pytest.fixture()
     def dict_path(self, tmp_path, capsys):
         out = tmp_path / "d.csv"
@@ -42,6 +45,7 @@ class TestRip:
         D = import_dictionary_csv(dict_path)
         assert payload["delta"] == rip_exact(D, 2).delta
         assert payload["method"] == "exact_enumeration"
+        assert list(payload) == self.RIP_KEYS
 
     def test_mc_mode(self, dict_path, capsys):
         code, stdout, _ = run_cli(
@@ -52,6 +56,7 @@ class TestRip:
         D = import_dictionary_csv(dict_path)
         assert payload["delta"] == rip_monte_carlo(D, 3, trials=100, seed=5).delta
         assert payload["seed"] == 5
+        assert list(payload) == self.RIP_KEYS
 
     def test_budget_exceeded_is_reported(self, tmp_path, capsys):
         out = tmp_path / "big.csv"

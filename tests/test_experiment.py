@@ -1,6 +1,7 @@
 import json
 import math
-from dataclasses import fields
+import re
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -152,7 +153,7 @@ MALFORMED = {
     "sigma_values": ["nan", "inf", "-1.0", "", "x", "0.5, 0.5"],
     "trials_per_point": ["0", "-2", "1e3"],
     "seed": ["s", "1.0", ""],
-    "algorithms": ["omp", "", "sp,,iht"],
+    "algorithms": ["omp", "", "sp,,iht", "sp, sp"],
     "a": ["0", "-1.0", "nan", "inf", "x"],
     "halting": ["fixed:0", "fixed:x", "fixed:", "sometimes", "", "fixed:100000"],
     "max_iterations_cap": ["0", "-1", "x"],
@@ -259,6 +260,11 @@ class TestConfigValidation:
     def test_duplicate_sigma_values(self):
         with pytest.raises(ConfigError, match="sigma_values has duplicate"):
             small_config(sigma_values=(0.5, 1.0, 0.5))
+
+    def test_duplicate_algorithms(self):
+        # each copy's row used to pool every copy's records: trials = 8 from 4 draws
+        with pytest.raises(ConfigError, match="algorithms has duplicate entries"):
+            small_config(algorithms=(Algorithm.SP, Algorithm.SP))
 
 
 class TestSeeding:
@@ -434,6 +440,21 @@ class TestEmission:
         assert header == "k,sigma,algorithm,trials,mse,median_se,p99_se,oracle_mse,prob_bound,bound_violation_rate,condition_met"
         back = read_results_csv(path)
         assert back == rows
+        # a solver that fails every trial writes nan cells; an unmet condition writes false
+        nan = math.nan
+        failed = replace(rows[0], trials=0, mse=nan, median_se=nan, p99_se=nan, bound_violation_rate=nan)
+        unmet = replace(rows[1], condition_met=False)
+        emit_results([failed, unmet], "csv", path)
+        got_failed, got_unmet = read_results_csv(path)
+        for col in CSV_COLUMNS:
+            want, got = getattr(failed, col), getattr(got_failed, col)
+            assert math.isnan(got) if isinstance(want, float) and math.isnan(want) else got == want, col
+        assert got_unmet == unmet and got_unmet.condition_met is False
+        # a short row is a ValueError that names the file, not an IndexError
+        with open(path, "a") as fh:
+            fh.write("3,0.5,sp,10,1.0\n")
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            read_results_csv(path)
 
     def test_jsonl_emission(self, tmp_path):
         cfg = small_config(trials_per_point=2)

@@ -18,8 +18,6 @@ from sparselab.guarantees import (
     ds_constant,
     iht_constants,
     near_oracle_bound,
-    nearly_sparse_bound,
-    nearly_sparse_oracle_bound,
     oracle_mse_bound,
     oracle_mse_exact,
     recurrence_coefficients,
@@ -311,38 +309,3 @@ class TestBoundReport:
             GuaranteeParams(a=1.0, n_atoms=8, k=1, sigma=1.0, delta=1.0)
         with pytest.raises(ValueError):
             GuaranteeParams(a=1.0, n_atoms=8, k=0, sigma=1.0, delta=0.1)
-
-
-class TestNearlySparse:
-    def test_reduces_to_sparse_case_when_tails_vanish(self):
-        params = GuaranteeParams(a=1.0, n_atoms=64, k=3, sigma=0.5, delta=0.1)
-        c = sp_constants(0.1)[2]
-        x = np.zeros(64)
-        x[[1, 5, 9]] = [4.0, -3.0, 2.0]
-        det, prob = nearly_sparse_bound(c, 0.1, params, x, noise_correlation=0.25)
-        # exactly 3-sparse x has zero tail, so the deterministic part is C nc
-        assert det == pytest.approx(c * 0.25, rel=1e-12)
-        expected_prob = 2 * c * c * (math.sqrt(2.0 * math.log(64) * 3) * 0.5) ** 2
-        assert prob == pytest.approx(expected_prob, rel=1e-12)
-
-    def test_tail_terms_enter_with_correct_weights(self):
-        params = GuaranteeParams(a=1.0, n_atoms=16, k=2, sigma=1.0, delta=0.2)
-        x = np.array([5.0, -4.0, 1.0, 0.5] + [0.0] * 12)
-        t1 = 1.5  # |1.0| + |0.5|
-        t2 = math.sqrt(1.0 + 0.25)
-        c = 10.0
-        det, prob = nearly_sparse_bound(c, 0.2, params, x, noise_correlation=0.0)
-        expected_det = c * (0.0 + (1 + 0.2) * t2 + (1 + 0.2) / math.sqrt(2) * t1)
-        assert det == pytest.approx(expected_det, rel=1e-12)
-        expected_prob = 2 * c * c * (math.sqrt(2 * math.log(16) * 2) * 1.0 + t2 + t1 / math.sqrt(2)) ** 2
-        assert prob == pytest.approx(expected_prob, rel=1e-12)
-
-    def test_oracle_variant(self):
-        x = np.array([3.0, 2.0, 0.4, 0.3, 0.0])
-        k, sigma, delta = 2, 0.5, 0.2
-        t1 = 0.7
-        t2 = math.sqrt(0.16 + 0.09)
-        expected = (1 / (1 - delta)) * (
-            (1 + math.sqrt(1 + delta)) * t2 + math.sqrt(1 + delta) / math.sqrt(k) * t1 + math.sqrt(k) * sigma
-        ) ** 2
-        assert nearly_sparse_oracle_bound(delta, k, sigma, x) == pytest.approx(expected, rel=1e-12)

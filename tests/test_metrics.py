@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from sparselab.errors import BudgetExceeded
 from sparselab.linalg import SupportSet, normalize_columns
 from sparselab.metrics import (
-    CorrelationMode,
     RipMethod,
     _deviation_matrix,
     _pair_candidates,
@@ -207,15 +206,6 @@ class TestWorstCaseNoiseCorrelation:
             assert fast.value == pytest.approx(self.brute_force(D, e, k), abs=1e-12)
             assert fast.value == pytest.approx(slow.value, abs=1e-12)
             assert fast.argmax_support == slow.argmax_support
-
-    def test_sqrt_k_bound_dominates_exact(self):
-        rng = np.random.default_rng(11)
-        D = random_dictionary(6, 11, 12)
-        e = rng.standard_normal(6)
-        for k in (1, 2, 4):
-            exact = worst_case_noise_correlation(D, e, k).value
-            bound = worst_case_noise_correlation(D, e, k, mode=CorrelationMode.SQRT_K_MAX_BOUND).value
-            assert exact <= bound + 1e-14
 
     def test_k_zero(self):
         D = random_dictionary(4, 7, 13)

@@ -1,16 +1,18 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from sparselab.errors import Divergence, IterationBudgetExceeded
-from sparselab.guarantees import cosamp_constants, iht_constants, oracle_mse_exact, sp_constants
+from sparselab.guarantees import cosamp_constants, iht_constants, oracle_mse_exact, rip_order, sp_constants
 from sparselab.linalg import SupportSet, least_squares_on_support, normalize_columns
 from sparselab.metrics import worst_case_noise_correlation
 from sparselab.pursuit import (
     Algorithm,
     FixedIterations,
+    IterationRecord,
     PracticalLogRule,
     PursuitConfig,
     cosamp,
@@ -320,6 +322,51 @@ class TestTraceRoundTrip:
             assert got.estimate_error is None
             assert got.pruned_support == want.pruned_support
             assert np.array_equal(got.coefficients, want.coefficients)
+
+    @pytest.fixture(scope="class")
+    def trace_path(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("trace") / "trace.jsonl"
+
+    @given(
+        st.sampled_from(["sp", "cosamp", "iht"]),
+        st.integers(min_value=8, max_value=24),
+        st.data(),
+        st.floats(min_value=0.0, max_value=2.0),
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.booleans(),
+        st.booleans(),
+    )
+    @settings(deadline=None, max_examples=30)
+    def test_round_trip_property(self, trace_path, name, m, data, sigma, seed, store_truth, store_noise):
+        n = data.draw(st.integers(min_value=m, max_value=2 * m), label="n")
+        k = data.draw(st.integers(min_value=1, max_value=m // rip_order(name, 1)), label="k")
+        iterations = data.draw(st.integers(min_value=1, max_value=4), label="iterations")
+        D = random_dictionary(m, n, seed)
+        x = generate_signal(n, k, seed)
+        e = sigma * np.random.default_rng(seed).standard_normal(m)
+        truth = x if store_truth else None
+        noise = e if store_noise else None
+        cfg = PursuitConfig(k=k, halting=FixedIterations(iterations))
+        res = SOLVERS[name](D, D.entries @ x.values + e, cfg, x_true=truth)
+        write_trace(trace_path, res, D, x_true=truth, noise=noise, sigma=sigma)
+        bundle = read_trace(trace_path)
+        assert (bundle.algorithm, bundle.k, bundle.iterations_run, bundle.sigma) == (Algorithm(name), k, iterations, sigma)
+        assert np.array_equal(bundle.dictionary.entries, D.entries)
+        if store_truth:
+            assert np.array_equal(bundle.x_true.values, x.values)
+            assert (bundle.x_true.support, bundle.x_true.k) == (x.support, k)
+        else:
+            assert bundle.x_true is None
+        assert np.array_equal(bundle.noise, e) if store_noise else bundle.noise is None
+        for got, want in zip(bundle.records, res.trace, strict=True):
+            for f in fields(IterationRecord):
+                g, w = getattr(got, f.name), getattr(want, f.name)
+                if w is None:
+                    assert g is None, f.name
+                elif isinstance(w, np.ndarray):
+                    assert np.array_equal(g, w), f.name
+                else:
+                    assert g == w, f.name
 
     def test_trace_disabled_gives_no_trace(self):
         D = random_dictionary(10, 18, 42)
