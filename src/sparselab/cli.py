@@ -21,7 +21,7 @@ from . import guarantees
 from .errors import ConfigError, SparseLabError
 from .experiment import emit_results, emit_trials, generate_dictionary, parse_config, run_experiment
 from .linalg import export_dictionary_csv, import_dictionary_csv
-from .metrics import rip_exact, rip_monte_carlo
+from .metrics import ENUMERATION_BUDGET, rip_exact, rip_monte_carlo
 from .pursuit import read_trace, recurrence_diagnostics
 
 
@@ -33,7 +33,10 @@ def _cmd_gen_dict(args):
 
 
 def _cmd_run(args):
-    rows, records = run_experiment(parse_config(args.config), workers=args.workers)
+    cfg = parse_config(args.config)
+    if args.workers is not None:
+        cfg = dataclasses.replace(cfg, workers=args.workers)
+    rows, records = run_experiment(cfg)
     os.makedirs(args.out_dir, exist_ok=True)
     csv_path = os.path.join(args.out_dir, "results.csv")
     emit_results(rows, "csv", csv_path)
@@ -146,13 +149,13 @@ def build_parser():
     p.add_argument("--mode", choices=["exact", "mc"], default="exact")
     p.add_argument("--trials", type=int, default=2000, help="mc mode: number of sampled supports")
     p.add_argument("--seed", type=int, default=0, help="mc mode: sampling seed")
-    p.add_argument("--budget", type=int, default=None, help="exact mode: enumeration budget override")
+    p.add_argument("--budget", type=int, default=ENUMERATION_BUDGET, help="exact mode: enumeration budget")
     p.set_defaults(func=_cmd_rip)
 
     p = sub.add_parser("diagnose", help="check recurrences recorded in a trace file")
     p.add_argument("--in", required=True, help="trace JSONL path")
     p.add_argument("--delta", type=float, default=None, help="skip enumeration and use this delta")
-    p.add_argument("--budget", type=int, default=None, help="enumeration budget override")
+    p.add_argument("--budget", type=int, default=ENUMERATION_BUDGET, help="enumeration budget without --delta")
     p.set_defaults(func=_cmd_diagnose)
 
     return parser

@@ -14,7 +14,8 @@ import hashlib
 import json
 import math
 import multiprocessing
-from dataclasses import dataclass, fields, replace
+import typing
+from dataclasses import MISSING, dataclass, fields, replace
 
 import numpy as np
 
@@ -23,6 +24,7 @@ from .errors import ConfigError, SparseLabError
 from .linalg import SparseSignal, SupportSet, normalize_columns
 from .metrics import rip_monte_carlo
 from .pursuit import (
+    MAX_ITERATIONS,
     Algorithm,
     FixedIterations,
     PracticalLogRule,
@@ -38,21 +40,22 @@ _SOLVERS = {Algorithm.SP: subspace_pursuit, Algorithm.COSAMP: cosamp, Algorithm.
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One sweep's settings, checked on construction; the fields are the config file's keys."""
+
     m: int
     n_atoms: int
-    k_values: tuple
-    sigma_values: tuple
+    k_values: tuple[int, ...]
+    sigma_values: tuple[float, ...]
     trials_per_point: int
     seed: int
-    algorithms: tuple
+    algorithms: tuple[Algorithm, ...]
     a: float = 1.0
     halting: str = "practical"
-    max_iterations_cap: int = 100
     workers: int = 1
     delta_mode: str = "threshold"
     delta_mc_trials: int = 2000
 
-    def validate(self):
+    def __post_init__(self):
         if self.m < 1 or self.n_atoms < self.m:
             raise ConfigError(f"need 1 <= m <= n_atoms, got m={self.m}, n_atoms={self.n_atoms}")
         if not self.k_values or any(k < 1 for k in self.k_values):
@@ -76,25 +79,19 @@ class ExperimentConfig:
         if order > self.m:
             names = "/".join(alg.value for alg in Algorithm if guarantees.rip_order(alg, kmax) == order)
             raise ConfigError(f"rip order {order} of {names} exceeds m = {self.m} (max(k) = {kmax})")
-        if self.max_iterations_cap < 1:
-            raise ConfigError("max_iterations_cap must be >= 1")
-        count = _fixed_count(self.halting)
-        if count is None and any(s == 0 for s in self.sigma_values):
+        if _fixed_count(self.halting) is None and any(s == 0 for s in self.sigma_values):
             raise ConfigError("the practical halting rule needs sigma > 0; use halting = fixed:<n>")
-        if count is not None and count > self.max_iterations_cap:
-            raise ConfigError(f"fixed halting count {count} exceeds max_iterations_cap {self.max_iterations_cap}")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
         if self.delta_mode not in ("threshold", "monte_carlo"):
             raise ConfigError(f"unknown delta_mode {self.delta_mode!r}")
         if self.delta_mc_trials < 1:
             raise ConfigError("delta_mc_trials must be >= 1")
-        return self
 
 
 @dataclass(frozen=True)
 class TrialRecord:
-    trial_index: int
+    trial_index: int | None
     k: int
     sigma: float
     algorithm: str
@@ -134,27 +131,25 @@ def _fixed_count(spec):
             raise ConfigError(f"bad halting spec {spec!r}; expected fixed:<count>") from None
         if count < 1:
             raise ConfigError("fixed halting count must be >= 1")
+        if count > MAX_ITERATIONS:
+            raise ConfigError(f"fixed halting count {count} exceeds the iteration cap {MAX_ITERATIONS}")
         return count
     raise ConfigError(f"unknown halting {spec!r}; expected 'practical' or 'fixed:<count>'")
 
 
-_CONFIG_KEYS = {
-    "m": int,
-    "n_atoms": int,
-    "k_values": lambda s: tuple(int(tok) for tok in s.split(",")),
-    "sigma_values": lambda s: tuple(float(tok) for tok in s.split(",")),
-    "trials_per_point": int,
-    "seed": int,
-    "algorithms": lambda s: tuple(Algorithm(tok.strip().lower()) for tok in s.split(",")),
-    "a": float,
-    "halting": str,
-    "max_iterations_cap": int,
-    "workers": int,
-    "delta_mode": str,
-    "delta_mc_trials": int,
-}
+# the reader of a config value or a CSV cell, by the field's annotated type; a tuple is a comma-separated list
+_READERS = {int: int, float: float, str: str, bool: lambda t: t == "true", Algorithm: lambda t: Algorithm(t.lower())}
 
-_REQUIRED_KEYS = ("m", "n_atoms", "k_values", "sigma_values", "trials_per_point", "seed", "algorithms")
+
+def _config_reader(kind):
+    if typing.get_origin(kind) is tuple:
+        read = _READERS[typing.get_args(kind)[0]]
+        return lambda text: tuple(read(tok.strip()) for tok in text.split(","))
+    return _READERS[kind]
+
+
+_CONFIG_KEYS = {f.name: _config_reader(f.type) for f in fields(ExperimentConfig)}
+_REQUIRED_KEYS = tuple(f.name for f in fields(ExperimentConfig) if f.default is MISSING)
 
 
 def parse_config(path):
@@ -179,7 +174,7 @@ def parse_config(path):
     missing = [key for key in _REQUIRED_KEYS if key not in raw]
     if missing:
         raise ConfigError(f"{path}: missing required keys: {', '.join(missing)}")
-    return ExperimentConfig(**raw).validate()
+    return ExperimentConfig(**raw)
 
 
 def _digest_seed(*parts):
@@ -221,12 +216,14 @@ def generate_signal(n_atoms, k, seed):
     return SparseSignal(values, support, k)
 
 
-def run_trial(D, k, sigma, algorithms, seed, halting="practical", max_iterations_cap=100):
+def run_trial(D, k, sigma, algorithms, seed, halting="practical"):
     """One signal and noise draw; every requested algorithm sees the same y.
 
-    Returns one TrialRecord per algorithm (in the order given). A solver
-    failure (a SparseLabError, or a LinAlgError from numpy) is recorded as
-    the error category on that record rather than aborting the sweep.
+    Returns one TrialRecord per algorithm (in the order given), with
+    trial_index None: run_experiment numbers the trials of each (k, sigma)
+    point 0..trials_per_point-1. A solver failure (a SparseLabError, or a
+    LinAlgError from numpy) is recorded as the error category on that
+    record rather than aborting the sweep.
     """
     rng = np.random.default_rng(seed)
     x_values, true_support = _spikes_from_rng(rng, D.n_atoms, k)
@@ -240,7 +237,6 @@ def run_trial(D, k, sigma, algorithms, seed, halting="practical", max_iterations
     cfg = PursuitConfig(
         k=k,
         halting=PracticalLogRule(sigma=sigma) if count is None else FixedIterations(count),
-        max_iterations_cap=max_iterations_cap,
         trace_enabled=False,
     )
     records = []
@@ -259,7 +255,7 @@ def run_trial(D, k, sigma, algorithms, seed, halting="practical", max_iterations
                 iterations = result.iterations_run
         records.append(
             TrialRecord(
-                trial_index=seed,
+                trial_index=None,
                 k=k,
                 sigma=sigma,
                 algorithm=algorithm.value,
@@ -291,7 +287,6 @@ def _worker_run(task):
         cfg.algorithms,
         trial_seed(cfg.seed, k, sigma, trial_index),
         halting=cfg.halting,
-        max_iterations_cap=cfg.max_iterations_cap,
     )
     return [replace(r, trial_index=trial_index) for r in records]
 
@@ -344,15 +339,12 @@ def _aggregate_point(cfg, k, sigma, algorithm, delta, records):
     )
 
 
-def run_experiment(cfg, workers=None):
+def run_experiment(cfg):
     """Full sweep over k_values x sigma_values.
 
     Returns (aggregate rows, trial records), both in a deterministic order
     that does not depend on worker scheduling.
     """
-    if workers is not None:
-        cfg = replace(cfg, workers=workers)
-    cfg.validate()
     D = generate_dictionary(cfg.m, cfg.n_atoms, dictionary_seed(cfg.seed))
     points = [(k, sigma) for k in cfg.k_values for sigma in cfg.sigma_values]
     tasks = [(t, k, sigma) for k, sigma in points for t in range(cfg.trials_per_point)]
@@ -399,13 +391,9 @@ def emit_results(rows, format, path):
                 fh.write(json.dumps({col: getattr(row, col) for col in CSV_COLUMNS}) + "\n")
 
 
-# the reader of each AggregateRow cell, by the field's annotated type
-_CELL_READERS = {int: int, float: float, str: str, bool: lambda cell: cell == "true"}
-
-
 def read_results_csv(path):
     """Round-trip reader for emit_results(..., "csv", ...)."""
-    readers = [_CELL_READERS[f.type] for f in fields(AggregateRow)]
+    readers = [_READERS[f.type] for f in fields(AggregateRow)]
     rows = []
     with open(path) as fh:
         header = fh.readline().strip()

@@ -45,14 +45,14 @@ class GuaranteeParams:
     delta: float
 
     def __post_init__(self):
-        if self.a <= 0:
-            raise ValueError("probability exponent a must be positive")
+        if not 0 < self.a < math.inf:
+            raise ValueError(f"probability exponent a must be positive and finite, got {self.a!r}")
         if self.n_atoms < 2:
             raise ValueError("need at least two atoms")
         if self.k < 1:
             raise ValueError("k must be >= 1")
-        if self.sigma < 0:
-            raise ValueError("sigma must be nonnegative")
+        if not 0 <= self.sigma < math.inf:
+            raise ValueError(f"sigma must be finite and nonnegative, got {self.sigma!r}")
         _check_delta(self.delta)
 
 
@@ -208,6 +208,8 @@ def bound_report(algorithm, params, noise_correlation=None, second_delta=None):
     condition_met = False marks them as non-guarantees.
     """
     name = _family(algorithm)
+    if noise_correlation is not None and not 0 <= noise_correlation < math.inf:
+        raise ValueError(f"noise correlation must be finite and nonnegative, got {noise_correlation!r}")
     c = ds_constant(params.delta) if name == "ds" else _constants(name, params.delta)[2]
     det = None if noise_correlation is None else c * float(noise_correlation)
     return BoundReport(

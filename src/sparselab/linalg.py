@@ -14,7 +14,6 @@ from .errors import NonFinite, RankDeficient, ZeroColumn
 
 NORMALIZATION_RTOL = 1e-10
 RANK_RCOND = 1e-12
-ORTHOGONALITY_ATOL = 1e-8
 ZERO_COLUMN_TOL = 1e-14
 
 

@@ -36,6 +36,8 @@ from .linalg import (
 )
 
 DIVERGENCE_FACTOR = 1e6
+# no halting rule runs more iterations than this
+MAX_ITERATIONS = 100
 
 
 class Algorithm(enum.Enum):
@@ -52,6 +54,11 @@ class FixedIterations:
     def __post_init__(self):
         if self.count < 1:
             raise ValueError("iteration count must be >= 1")
+        if self.count > MAX_ITERATIONS:
+            raise IterationBudgetExceeded(f"fixed iteration count {self.count} exceeds cap {MAX_ITERATIONS}")
+
+    def iterations(self, y_norm, k):
+        return self.count
 
 
 @dataclass(frozen=True)
@@ -68,23 +75,19 @@ class PracticalLogRule:
         if self.sigma <= 0:
             raise ValueError("the log halting rule needs sigma > 0")
 
+    def iterations(self, y_norm, k):
+        return practical_iteration_count(y_norm, k, self.sigma)
+
 
 @dataclass(frozen=True)
 class PursuitConfig:
     k: int
     halting: FixedIterations | PracticalLogRule
-    max_iterations_cap: int = 100
     trace_enabled: bool = True
 
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("k must be >= 1")
-        if self.max_iterations_cap < 1:
-            raise ValueError("iteration cap must be >= 1")
-        if isinstance(self.halting, FixedIterations) and self.halting.count > self.max_iterations_cap:
-            raise IterationBudgetExceeded(
-                f"fixed iteration count {self.halting.count} exceeds cap {self.max_iterations_cap}"
-            )
 
 
 @dataclass(frozen=True)
@@ -108,21 +111,14 @@ class PursuitResult:
     algorithm: Algorithm
 
 
-def practical_iteration_count(x_norm_estimate, k, sigma, cap=100):
-    """ceil(log2(x_norm / (sqrt(k) sigma))), clamped to [1, cap]."""
+def practical_iteration_count(x_norm_estimate, k, sigma):
+    """ceil(log2(x_norm / (sqrt(k) sigma))), clamped to [1, MAX_ITERATIONS]."""
     if sigma <= 0:
         raise ValueError("sigma must be positive")
     if x_norm_estimate <= 0:
         return 1
     raw = math.ceil(math.log2(x_norm_estimate / (math.sqrt(k) * sigma)))
-    return int(min(max(raw, 1), cap))
-
-
-def _iterations_for(cfg, y):
-    h = cfg.halting
-    if isinstance(h, FixedIterations):
-        return h.count
-    return practical_iteration_count(float(np.linalg.norm(y)), cfg.k, h.sigma, cfg.max_iterations_cap)
+    return int(min(max(raw, 1), MAX_ITERATIONS))
 
 
 def _check_dims(D, k, algorithm):
@@ -160,9 +156,9 @@ def _pursue(algorithm, D, y, cfg, x_true):
     grow, resolve = _RULES[algorithm]
     _check_dims(D, cfg.k, algorithm)
     y = np.asarray(y, dtype=np.float64)
-    n_iters = _iterations_for(cfg, y)
-    n = D.n_atoms
     y_norm = float(np.linalg.norm(y))
+    n_iters = cfg.halting.iterations(y_norm, cfg.k)
+    n = D.n_atoms
     support = SupportSet(())
     values = np.zeros(0)
     y_r = y

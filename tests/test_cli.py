@@ -66,6 +66,15 @@ class TestRip:
         assert code == 2
         assert stderr.startswith("error[BudgetExceeded]:")
 
+    def test_library_budget_applies_by_default(self, tmp_path, capsys):
+        # C(27, 8) = 2,220,075 supports is past the library budget of 2e6
+        out = tmp_path / "d.csv"
+        main(["gen-dict", "--m", "12", "--n", "27", "--seed", "6", "--out", str(out)])
+        capsys.readouterr()
+        code, stdout, stderr = run_cli(capsys, "rip", "--in", str(out), "--k", "8")
+        assert code == 2 and stdout == ""
+        assert stderr.startswith("error[BudgetExceeded]:")
+
     def test_missing_file(self, tmp_path, capsys):
         code, _, stderr = run_cli(capsys, "rip", "--in", str(tmp_path / "nope.csv"), "--k", "2")
         assert code == 2
@@ -100,6 +109,25 @@ class TestBounds:
         )
         assert code == 0
         assert json.loads(stdout)["condition_met"] is True
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--sigma", "nan"),
+            ("--sigma", "inf"),
+            ("--a", "nan"),
+            ("--a", "inf"),
+            ("--noise-correlation", "nan"),
+            ("--noise-correlation", "inf"),
+            ("--noise-correlation", "-1"),
+        ],
+    )
+    def test_non_finite_input_rejected(self, capsys, flag, value):
+        # each used to print a NaN or Infinity bound (or a negative one) and exit 0
+        argv = {"--algorithm": "sp", "--delta": "0.1", "--n": "1024", "--k": "10", "--sigma": "1.0", flag: value}
+        code, stdout, stderr = run_cli(capsys, "bounds", *(tok for pair in argv.items() for tok in pair))
+        assert code == 2 and stdout == ""
+        assert stderr.startswith("error[ValueError]:")
 
     def test_invalid_delta(self, capsys):
         code, _, stderr = run_cli(
@@ -207,6 +235,18 @@ class TestDiagnose:
         payload = json.loads(stdout[stdout.index("{"):])
         assert payload["condition_met"] is False
         assert payload["all_hold"] is True
+
+    def test_library_budget_applies_by_default(self, tmp_path, capsys):
+        # without --delta, sp at k = 3 reads delta_9 of 26 atoms: C(26, 9) = 3,124,550 supports
+        D = generate_dictionary(12, 26, 49)
+        x = generate_signal(26, 3, 50)
+        e = 0.1 * np.random.default_rng(51).standard_normal(12)
+        res = subspace_pursuit(D, D.entries @ x.values + e, PursuitConfig(k=3, halting=FixedIterations(2)), x_true=x)
+        path = tmp_path / "t.jsonl"
+        write_trace(path, res, D, x_true=x, noise=e, sigma=0.1)
+        code, stdout, stderr = run_cli(capsys, "diagnose", "--in", str(path))
+        assert code == 2 and stdout == ""
+        assert stderr.startswith("error[BudgetExceeded]:")
 
     def test_trace_without_noise_rejected(self, tmp_path, capsys):
         D = generate_dictionary(12, 18, 47)

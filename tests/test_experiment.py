@@ -1,7 +1,8 @@
 import json
 import math
+import pathlib
 import re
-from dataclasses import fields, replace
+from dataclasses import MISSING, fields, replace
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from sparselab.experiment import (
 )
 from sparselab import guarantees
 from sparselab.metrics import mutual_coherence, rip_monte_carlo
-from sparselab.pursuit import Algorithm
+from sparselab.pursuit import MAX_ITERATIONS, Algorithm
 
 
 def small_config(**overrides):
@@ -39,7 +40,7 @@ def small_config(**overrides):
         algorithms=(Algorithm.SP, Algorithm.COSAMP, Algorithm.IHT, Algorithm.ORACLE),
     )
     base.update(overrides)
-    return ExperimentConfig(**base).validate()
+    return ExperimentConfig(**base)
 
 
 class TestConfigParsing:
@@ -94,6 +95,17 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="bad value"):
             parse_config(path)
 
+    def test_readme_config_block_lists_the_fields(self):
+        readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("## Config files", 1)[1].split("```", 2)[1]
+        lines = [line for line in block.splitlines() if line.strip()]
+        assert [line.split("=", 1)[0].strip() for line in lines] == [f.name for f in fields(ExperimentConfig)]
+        for f, line in zip(fields(ExperimentConfig), lines):
+            value = line.split("=", 1)[1].split("#", 1)[0].strip()
+            assert ("# required" in line) == (f.default is MISSING), f.name
+            shown = experiment._CONFIG_KEYS[f.name](value)
+            assert f.default is MISSING or shown == f.default, f.name
+
     def test_bad_algorithm_name(self, tmp_path):
         path = self.write(
             tmp_path,
@@ -110,14 +122,12 @@ def valid_settings(draw):
     algorithms = draw(st.lists(st.sampled_from(list(Algorithm)), min_size=1, max_size=4, unique=True))
     m = draw(st.integers(min_value=4, max_value=64))
     k_max = m // max(guarantees.rip_order(alg, 1) for alg in algorithms)
-    cap = draw(st.none() | st.integers(min_value=1, max_value=1000))
-    fixed = st.integers(min_value=1, max_value=cap or 100).map(lambda n: f"fixed:{n}")
+    fixed = st.integers(min_value=1, max_value=MAX_ITERATIONS).map(lambda n: f"fixed:{n}")
     halting = draw(st.none() | st.just("practical") | fixed)
     sigma = st.floats(min_value=0.0, max_value=1e6, exclude_min=halting in (None, "practical"))
     optional = dict(
         a=draw(st.none() | st.floats(min_value=0.0, max_value=1e6, exclude_min=True)),
         halting=halting,
-        max_iterations_cap=cap,
         workers=draw(st.none() | st.integers(min_value=1, max_value=64)),
         delta_mode=draw(st.none() | st.sampled_from(["threshold", "monte_carlo"])),
         delta_mc_trials=draw(st.none() | st.integers(min_value=1, max_value=10**6)),
@@ -155,8 +165,7 @@ MALFORMED = {
     "seed": ["s", "1.0", ""],
     "algorithms": ["omp", "", "sp,,iht", "sp, sp"],
     "a": ["0", "-1.0", "nan", "inf", "x"],
-    "halting": ["fixed:0", "fixed:x", "fixed:", "sometimes", "", "fixed:100000"],
-    "max_iterations_cap": ["0", "-1", "x"],
+    "halting": ["fixed:0", "fixed:x", "fixed:", "sometimes", "", "fixed:101", "fixed:100000"],
     "workers": ["0", "-1", "x"],
     "delta_mode": ["exact", ""],
     "delta_mc_trials": ["0", "x"],
@@ -230,9 +239,9 @@ class TestConfigValidation:
 
     def test_fixed_halting_over_the_cap(self):
         # caught here, not by the first trial's IterationBudgetExceeded mid-sweep
-        with pytest.raises(ConfigError, match="fixed halting count 150 exceeds max_iterations_cap 100"):
+        with pytest.raises(ConfigError, match="fixed halting count 150 exceeds the iteration cap 100"):
             small_config(halting="fixed:150")
-        small_config(halting="fixed:150", max_iterations_cap=150)
+        small_config(halting=f"fixed:{MAX_ITERATIONS}")
 
     def test_empty_algorithms(self):
         with pytest.raises(ConfigError, match="empty"):
@@ -359,6 +368,12 @@ class TestRunTrial:
         assert records[1].error is None
         assert math.isfinite(records[1].squared_error)
 
+    def test_record_carries_no_trial_index(self):
+        # a direct call has no sweep to number it in; the seed is not an index
+        D = generate_dictionary(32, 64, 1)
+        records = run_trial(D, 3, 0.5, (Algorithm.SP, Algorithm.ORACLE), 123456789012345, halting="fixed:2")
+        assert [r.trial_index for r in records] == [None, None]
+
     def test_deterministic_given_seed(self):
         D = generate_dictionary(32, 64, 2)
         a = run_trial(D, 3, 1.0, (Algorithm.SP,), seed=55, halting="fixed:4")
@@ -386,14 +401,24 @@ class TestRunExperiment:
 
     def test_workers_do_not_change_results(self):
         cfg = small_config(trials_per_point=6)
-        rows1, recs1 = run_experiment(cfg, workers=1)
-        rows2, recs2 = run_experiment(cfg, workers=2)
+        rows1, recs1 = run_experiment(replace(cfg, workers=1))
+        rows2, recs2 = run_experiment(replace(cfg, workers=2))
         assert rows1 == rows2
         assert recs1 == recs2
 
     def test_workers_override_is_validated(self):
+        # replace re-runs __post_init__, as the CLI's --workers override does
         with pytest.raises(ConfigError, match="workers must be >= 1"):
-            run_experiment(small_config(), workers=0)
+            replace(small_config(), workers=0)
+
+    def test_records_number_the_trials_of_each_point(self):
+        cfg = small_config(k_values=(2, 3), sigma_values=(0.5, 1.0), trials_per_point=4)
+        _, records = run_experiment(cfg)
+        for k in cfg.k_values:
+            for sigma in cfg.sigma_values:
+                for alg in cfg.algorithms:
+                    got = [r.trial_index for r in records if (r.k, r.sigma, r.algorithm) == (k, sigma, alg.value)]
+                    assert got == [0, 1, 2, 3]
 
     def test_threshold_bounds_match_direct_computation(self):
         cfg = small_config(trials_per_point=3)

@@ -302,6 +302,19 @@ class TestBoundReport:
         rep = bound_report("ds", params, second_delta=0.3)
         assert rep.condition_met
 
+    @pytest.mark.parametrize("field, value", [("a", math.nan), ("a", math.inf), ("sigma", math.nan), ("sigma", math.inf)])
+    def test_params_reject_non_finite(self, field, value):
+        good = dict(a=1.0, n_atoms=8, k=1, sigma=1.0, delta=0.1)
+        with pytest.raises(ValueError, match=f"{field} must be .*finite"):
+            GuaranteeParams(**{**good, field: value})
+
+    @pytest.mark.parametrize("nc", [math.nan, math.inf, -0.5])
+    def test_report_rejects_bad_noise_correlation(self, nc):
+        params = GuaranteeParams(a=1.0, n_atoms=256, k=5, sigma=0.5, delta=0.1)
+        with pytest.raises(ValueError, match="noise correlation"):
+            bound_report("sp", params, noise_correlation=nc)
+        assert bound_report("sp", params, noise_correlation=0.0).deterministic_bound == 0.0
+
     def test_params_validation(self):
         with pytest.raises(ValueError):
             GuaranteeParams(a=0.0, n_atoms=8, k=1, sigma=1.0, delta=0.1)

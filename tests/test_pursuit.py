@@ -10,6 +10,7 @@ from sparselab.guarantees import cosamp_constants, iht_constants, oracle_mse_exa
 from sparselab.linalg import SupportSet, least_squares_on_support, normalize_columns
 from sparselab.metrics import worst_case_noise_correlation
 from sparselab.pursuit import (
+    MAX_ITERATIONS,
     Algorithm,
     FixedIterations,
     IterationRecord,
@@ -52,13 +53,14 @@ class TestHalting:
     def test_practical_count_clamps(self):
         assert practical_iteration_count(0.0, 2, 1.0) == 1
         assert practical_iteration_count(1.0, 4, 10.0) == 1
-        assert practical_iteration_count(1e60, 1, 1e-60, cap=100) == 100
+        assert practical_iteration_count(1e60, 1, 1e-60) == MAX_ITERATIONS == 100
 
     def test_fixed_iterations_validated(self):
         with pytest.raises(ValueError):
             FixedIterations(0)
-        with pytest.raises(IterationBudgetExceeded):
-            PursuitConfig(k=2, halting=FixedIterations(101), max_iterations_cap=100)
+        FixedIterations(MAX_ITERATIONS)
+        with pytest.raises(IterationBudgetExceeded, match="fixed iteration count 101 exceeds cap 100"):
+            FixedIterations(MAX_ITERATIONS + 1)
 
     def test_practical_rule_reads_measurement_norm(self):
         D = random_dictionary(9, 15, 0)
