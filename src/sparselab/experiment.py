@@ -20,11 +20,10 @@ from dataclasses import MISSING, dataclass, fields, replace
 import numpy as np
 
 from . import guarantees
-from .errors import ConfigError, SparseLabError
+from .errors import ConfigError, IterationBudgetExceeded, SparseLabError
 from .linalg import SparseSignal, SupportSet, normalize_columns
 from .metrics import rip_monte_carlo
 from .pursuit import (
-    MAX_ITERATIONS,
     Algorithm,
     FixedIterations,
     PracticalLogRule,
@@ -62,8 +61,10 @@ class ExperimentConfig:
             raise ConfigError("k_values must be a nonempty list of positive integers")
         if len(set(self.k_values)) != len(self.k_values):
             raise ConfigError("k_values has duplicate entries")
-        if not self.sigma_values or not all(math.isfinite(s) and s >= 0 for s in self.sigma_values):
-            raise ConfigError("sigma_values must be a nonempty list of finite nonnegative reals")
+        kmax = max(self.k_values)
+        # k sigma^2 is the oracle MSE, the scale of every squared error and bound the sweep reports
+        if not self.sigma_values or not all(s >= 0 and math.isfinite(kmax * s * s) for s in self.sigma_values):
+            raise ConfigError("sigma_values must be a nonempty list of finite nonnegative reals, with max(k) * sigma**2 finite")
         if len(set(self.sigma_values)) != len(self.sigma_values):
             raise ConfigError("sigma_values has duplicate entries")
         if self.trials_per_point < 1:
@@ -72,15 +73,14 @@ class ExperimentConfig:
             raise ConfigError("algorithms list is empty")
         if len(set(self.algorithms)) != len(self.algorithms):
             raise ConfigError("algorithms has duplicate entries")
-        if not (math.isfinite(self.a) and self.a > 0):
-            raise ConfigError("probability exponent a must be positive and finite")
-        kmax = max(self.k_values)
+        if not (math.isfinite(self.a) and self.a > 0) or guarantees.power_overflows(self.n_atoms, self.a):
+            raise ConfigError("probability exponent a must be positive and finite, with n_atoms**a finite")
         order = max(guarantees.rip_order(alg, kmax) for alg in self.algorithms)
         if order > self.m:
             names = "/".join(alg.value for alg in Algorithm if guarantees.rip_order(alg, kmax) == order)
             raise ConfigError(f"rip order {order} of {names} exceeds m = {self.m} (max(k) = {kmax})")
-        if _fixed_count(self.halting) is None and any(s == 0 for s in self.sigma_values):
-            raise ConfigError("the practical halting rule needs sigma > 0; use halting = fixed:<n>")
+        for sigma in self.sigma_values:
+            _halting_rule(self.halting, sigma)
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
         if self.delta_mode not in ("threshold", "monte_carlo"):
@@ -120,20 +120,15 @@ class AggregateRow:
 CSV_COLUMNS = tuple(f.name for f in fields(AggregateRow))
 
 
-def _fixed_count(spec):
-    """Parse a halting spec: None for 'practical', the count for 'fixed:<count>'."""
-    if spec == "practical":
-        return None
-    if spec.startswith("fixed:"):
-        try:
-            count = int(spec.split(":", 1)[1])
-        except ValueError:
-            raise ConfigError(f"bad halting spec {spec!r}; expected fixed:<count>") from None
-        if count < 1:
-            raise ConfigError("fixed halting count must be >= 1")
-        if count > MAX_ITERATIONS:
-            raise ConfigError(f"fixed halting count {count} exceeds the iteration cap {MAX_ITERATIONS}")
-        return count
+def _halting_rule(spec, sigma):
+    """The halting rule a spec names at noise level sigma: 'practical' or 'fixed:<count>'."""
+    try:
+        if spec == "practical":
+            return PracticalLogRule(sigma)
+        if spec.startswith("fixed:"):
+            return FixedIterations(int(spec.split(":", 1)[1]))
+    except (ValueError, IterationBudgetExceeded) as exc:
+        raise ConfigError(f"bad halting {spec!r}: {exc}") from None
     raise ConfigError(f"unknown halting {spec!r}; expected 'practical' or 'fixed:<count>'")
 
 
@@ -203,7 +198,7 @@ def _spikes_from_rng(rng, n_atoms, k):
     magnitudes = 1.0 + np.abs(rng.standard_normal(k))
     values = np.zeros(n_atoms)
     values[support] = 10.0 * eps * magnitudes
-    return values, SupportSet(tuple(int(i) for i in support))
+    return values, SupportSet(support)
 
 
 def generate_signal(n_atoms, k, seed):
@@ -233,12 +228,7 @@ def run_trial(D, k, sigma, algorithms, seed, halting="practical"):
     oracle_result = oracle_estimator(D, y, true_support)
     oracle_sq = float(np.sum((x_values - oracle_result.estimate.values) ** 2))
 
-    count = _fixed_count(halting)
-    cfg = PursuitConfig(
-        k=k,
-        halting=PracticalLogRule(sigma=sigma) if count is None else FixedIterations(count),
-        trace_enabled=False,
-    )
+    cfg = PursuitConfig(k=k, halting=_halting_rule(halting, sigma), trace_enabled=False)
     records = []
     for algorithm in algorithms:
         # the oracle row reports the oracle's own draw: true support, no iterations

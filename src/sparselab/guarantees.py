@@ -29,9 +29,18 @@ CONDITIONS = {"sp": SP_CONDITION, "cosamp": COSAMP_CONDITION, "iht": IHT_CONDITI
 _FAMILIES = ("sp", "cosamp", "iht", "ds")
 
 
-def _check_delta(delta):
-    if not 0 <= delta < 1:
-        raise ValueError(f"delta must lie in [0, 1), got {delta!r}")
+def _check_delta(delta, below=1.0):
+    """The one check of an isometry constant: 0 <= delta < below (so never NaN)."""
+    if not 0 <= delta < below:
+        raise ValueError(f"delta must lie in [0, {below}), got {delta!r}")
+
+
+def power_overflows(base, exponent):
+    """Whether base**exponent overflows a float, as N**a does for a huge probability exponent a."""
+    try:
+        return not math.isfinite(float(base) ** exponent)
+    except OverflowError:
+        return True
 
 
 @dataclass(frozen=True)
@@ -45,14 +54,14 @@ class GuaranteeParams:
     delta: float
 
     def __post_init__(self):
-        if not 0 < self.a < math.inf:
-            raise ValueError(f"probability exponent a must be positive and finite, got {self.a!r}")
         if self.n_atoms < 2:
             raise ValueError("need at least two atoms")
+        if not self.a > 0 or power_overflows(self.n_atoms, self.a):
+            raise ValueError(f"probability exponent a must be positive and finite, with N**a finite, got {self.a!r}")
         if self.k < 1:
             raise ValueError("k must be >= 1")
-        if not 0 <= self.sigma < math.inf:
-            raise ValueError(f"sigma must be finite and nonnegative, got {self.sigma!r}")
+        if not (self.sigma >= 0 and math.isfinite(self.k * self.sigma * self.sigma)):
+            raise ValueError(f"sigma must be finite and nonnegative, with k * sigma**2 finite, got {self.sigma!r}")
         _check_delta(self.delta)
 
 
@@ -107,8 +116,7 @@ def cosamp_constants(delta4k):
 
 def iht_constants(delta3k):
     """(rho, tau, C) for IHT at d = delta3k >= 0; only rho depends on d."""
-    if delta3k < 0:
-        raise ValueError("delta must be nonnegative")
+    _check_delta(delta3k, below=math.inf)
     return _constants("iht", delta3k)
 
 
@@ -116,11 +124,10 @@ def recurrence_coefficients(algorithm, delta):
     """Pairs (a, b) of the per-iteration inequalities err <= a err_prev + b nc.
 
     sp gives its merge step, its prune step and their composition (rho, tau);
-    cosamp and iht give (rho, tau). Any delta >= 0 is accepted: past the
+    cosamp and iht give (rho, tau). Any finite delta >= 0 is accepted: past the
     sp/cosamp pole (delta >= 1) every coefficient is +inf.
     """
-    if not delta >= 0:
-        raise ValueError(f"delta must be nonnegative, got {delta!r}")
+    _check_delta(delta, below=math.inf)
     name = _family(algorithm)
     if name == "ds":
         raise ValueError("ds has no iteration recurrence")
@@ -135,8 +142,7 @@ def rip_order(algorithm, k):
 
 def ds_constant(delta3k):
     """Accuracy constant 4 / (1 - 2d) of the Dantzig-selector style bound."""
-    if delta3k < 0:
-        raise ValueError("delta must be nonnegative")
+    _check_delta(delta3k, below=math.inf)
     if delta3k >= 0.5:
         raise PoleViolation(f"4/(1-2d) has a pole at d = 1/2; got d = {delta3k!r}")
     return 4.0 / (1.0 - 2.0 * float(delta3k))
@@ -157,10 +163,12 @@ def condition_check(algorithm, delta, second_delta=None):
     ds: delta_2K + delta_3K <= 1 (pass both values, order irrelevant).
     """
     name = _family(algorithm)
+    _check_delta(delta, below=math.inf)
     if name in CONDITIONS:
         return bool(delta <= CONDITIONS[name])
     if second_delta is None:
         raise ValueError("the ds condition needs both delta_2K and delta_3K")
+    _check_delta(second_delta, below=math.inf)
     return bool(delta + second_delta <= 1.0)
 
 
@@ -180,10 +188,9 @@ def success_probability(a, n_atoms):
 
 def oracle_mse_bound(k, delta_k, sigma):
     """K sigma^2 / (1 - delta_K), the closed-form oracle MSE bound."""
+    _check_delta(delta_k, below=math.inf)
     if delta_k >= 1:
         raise PoleViolation(f"oracle bound has a pole at delta = 1; got {delta_k!r}")
-    if delta_k < 0:
-        raise ValueError("delta must be nonnegative")
     return k * sigma * sigma / (1.0 - float(delta_k))
 
 

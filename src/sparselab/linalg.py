@@ -52,8 +52,8 @@ class Dictionary:
         return self.entries.shape[1]
 
     def columns(self, support):
-        """Submatrix D_T for a SupportSet (or index array) T."""
-        return self.entries[:, np.asarray(support.indices if isinstance(support, SupportSet) else support)]
+        """Submatrix D_T for a SupportSet T."""
+        return self.entries[:, support.as_array()]
 
     def gram(self):
         return self.entries.T @ self.entries
@@ -83,17 +83,14 @@ class SupportSet:
     def __iter__(self):
         return iter(self.indices)
 
-    def __contains__(self, i):
-        return int(i) in set(self.indices)
-
     def as_array(self):
         return np.asarray(self.indices, dtype=np.int64)
 
     def union(self, other):
-        return SupportSet(tuple(sorted(set(self.indices) | set(other.indices))))
+        return SupportSet(sorted(set(self.indices) | set(other.indices)))
 
     def difference(self, other):
-        return SupportSet(tuple(sorted(set(self.indices) - set(other.indices))))
+        return SupportSet(sorted(set(self.indices) - set(other.indices)))
 
 
 @dataclass(frozen=True)
@@ -120,10 +117,6 @@ class SparseSignal:
             raise ValueError("values must be zero off the support")
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
-
-    @property
-    def n_atoms(self):
-        return self.values.size
 
     def on_support(self):
         return self.values[self.support.as_array()]
@@ -164,7 +157,7 @@ def least_squares_on_support(D, T, y):
     vector). Raises RankDeficient when the smallest singular value of D_T
     relative to the largest is below 1e-12, or when |T| > m.
     """
-    k = T.cardinality if isinstance(T, SupportSet) else len(T)
+    k = T.cardinality
     if k == 0:
         return np.zeros(0)
     if k > D.m:
@@ -184,11 +177,9 @@ def top_k_support(v, k):
     v = np.asarray(v)
     if not 0 <= k <= v.size:
         raise ValueError(f"need 0 <= k <= {v.size}, got {k}")
-    if k == 0:
-        return SupportSet(())
     # stable sort on -|v| keeps the earlier index first among equal magnitudes
     order = np.argsort(-np.abs(v), kind="stable")
-    return SupportSet(tuple(sorted(int(i) for i in order[:k])))
+    return SupportSet(np.sort(order[:k]))
 
 
 def export_dictionary_csv(D, path):

@@ -287,5 +287,5 @@ def worst_case_noise_correlation(D, e, k, use_enumeration=False, budget=ENUMERAT
         # strict comparison keeps the first maximizer in combination order
         if float(sums[pos]) > best:
             best = float(sums[pos])
-            best_support = SupportSet(tuple(int(i) for i in idx[pos]))
+            best_support = SupportSet(idx[pos])
     return NoiseCorrelation(k=k, value=math.sqrt(best), argmax_support=best_support)

@@ -26,7 +26,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import guarantees, metrics
-from .errors import Divergence, IterationBudgetExceeded
+from .errors import Divergence, IterationBudgetExceeded, NonFinite
 from .linalg import (
     Dictionary,
     SparseSignal,
@@ -115,10 +115,13 @@ def practical_iteration_count(x_norm_estimate, k, sigma):
     """ceil(log2(x_norm / (sqrt(k) sigma))), clamped to [1, MAX_ITERATIONS]."""
     if sigma <= 0:
         raise ValueError("sigma must be positive")
+    if not math.isfinite(x_norm_estimate):
+        raise NonFinite(f"signal norm estimate {x_norm_estimate!r} is not finite")
     if x_norm_estimate <= 0:
         return 1
-    raw = math.ceil(math.log2(x_norm_estimate / (math.sqrt(k) * sigma)))
-    return int(min(max(raw, 1), MAX_ITERATIONS))
+    # a ratio past the float range (sigma near the smallest subnormal) takes the cap, never ceil(inf)
+    raw = min(math.log2(x_norm_estimate / (math.sqrt(k) * sigma)), MAX_ITERATIONS)
+    return int(max(math.ceil(raw), 1))
 
 
 def _check_dims(D, k, algorithm):
@@ -130,8 +133,8 @@ def _check_dims(D, k, algorithm):
 def _prune(merged, coef, k):
     """Atom indices of the k largest-magnitude coefficients on `merged`."""
     keep = top_k_support(coef, k).as_array()
-    arr = merged.as_array()[keep]
-    return SupportSet(tuple(int(i) for i in np.sort(arr))), np.sort(keep)
+    # keep and merged are both sorted, so merged[keep] is too
+    return SupportSet(merged.as_array()[keep]), keep
 
 
 def _dense(n, support, values):
@@ -288,10 +291,7 @@ def _holds(lhs, rhs):
 
 
 def _restricted_norm(x_true, support):
-    idx = support.as_array()
-    if idx.size == 0:
-        return 0.0
-    return float(np.linalg.norm(x_true.values[idx]))
+    return float(np.linalg.norm(x_true.values[support.as_array()]))
 
 
 def _bound(a, prev, b, nc):
@@ -358,7 +358,7 @@ def recurrence_diagnostics(
     -------
     DiagnosticsReport
     """
-    algorithm = Algorithm(algorithm) if not isinstance(algorithm, Algorithm) else algorithm
+    algorithm = Algorithm(algorithm)
     if algorithm is Algorithm.ORACLE:
         raise ValueError("the oracle estimator has no iteration recurrence")
     if not trace:
@@ -393,17 +393,13 @@ def _to_json(value):
     return value
 
 
-def _support_from_json(lst):
-    return SupportSet(tuple(int(i) for i in lst))
-
-
 def _array_from_json(lst):
     return np.asarray(lst, dtype=np.float64)
 
 
 # every IterationRecord field, in JSON key order, with the reader for its
 # annotated type; a None value reads back as None
-_READERS = {SupportSet: _support_from_json, np.ndarray: _array_from_json, int: int, float: float}
+_READERS = {SupportSet: SupportSet, np.ndarray: _array_from_json, int: int, float: float}
 _ITERATION_FIELDS = {
     f.name: _READERS[(typing.get_args(f.type) or (f.type,))[0]] for f in fields(IterationRecord)
 }
@@ -462,28 +458,20 @@ def read_trace(path):
     if not lines or lines[0].get("record") != "header":
         raise ValueError(f"{path}: missing trace header line")
     h = lines[0]
-    D = Dictionary(np.asarray(h["dictionary"], dtype=np.float64))
-    x_true = None
-    if h["x_true"] is not None:
-        x_true = SparseSignal(
-            np.asarray(h["x_true"]["values"], dtype=np.float64),
-            _support_from_json(h["x_true"]["support"]),
-            int(h["x_true"]["k"]),
-        )
+    x = h["x_true"]
     records = []
     for obj in lines[1:]:
         if obj.get("record") != "iteration":
             raise ValueError(f"{path}: unexpected record {obj.get('record')!r}")
         values = {name: None if obj[name] is None else read(obj[name]) for name, read in _ITERATION_FIELDS.items()}
         records.append(IterationRecord(**values))
-    noise = None if h["noise"] is None else np.asarray(h["noise"], dtype=np.float64)
     return TraceBundle(
         algorithm=Algorithm(h["algorithm"]),
         k=int(h["k"]),
-        dictionary=D,
+        dictionary=Dictionary(h["dictionary"]),
         records=tuple(records),
-        x_true=x_true,
-        noise=noise,
+        x_true=None if x is None else SparseSignal(x["values"], SupportSet(x["support"]), int(x["k"])),
+        noise=None if h["noise"] is None else _array_from_json(h["noise"]),
         sigma=None if h["sigma"] is None else float(h["sigma"]),
         iterations_run=int(h["iterations_run"]),
     )

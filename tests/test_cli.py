@@ -1,10 +1,13 @@
+import argparse
 import json
+import pathlib
+import shlex
 
 import numpy as np
 import pytest
 
 from sparselab import guarantees
-from sparselab.cli import main
+from sparselab.cli import build_parser, main
 from sparselab.experiment import generate_dictionary, generate_signal
 from sparselab.linalg import import_dictionary_csv
 from sparselab.metrics import rip_exact, rip_monte_carlo
@@ -120,11 +123,14 @@ class TestBounds:
             ("--noise-correlation", "nan"),
             ("--noise-correlation", "inf"),
             ("--noise-correlation", "-1"),
+            ("--second-delta", "nan"),
+            ("--second-delta", "-5"),
         ],
     )
     def test_non_finite_input_rejected(self, capsys, flag, value):
-        # each used to print a NaN or Infinity bound (or a negative one) and exit 0
-        argv = {"--algorithm": "sp", "--delta": "0.1", "--n": "1024", "--k": "10", "--sigma": "1.0", flag: value}
+        # each used to print a NaN or Infinity bound (or a negative one), or a ds verdict, and exit 0
+        algorithm = "ds" if flag == "--second-delta" else "sp"  # only ds reads a second delta
+        argv = {"--algorithm": algorithm, "--delta": "0.1", "--n": "1024", "--k": "10", "--sigma": "1.0", flag: value}
         code, stdout, stderr = run_cli(capsys, "bounds", *(tok for pair in argv.items() for tok in pair))
         assert code == 2 and stdout == ""
         assert stderr.startswith("error[ValueError]:")
@@ -181,6 +187,48 @@ class TestRun:
         code, _, stderr = run_cli(capsys, "run", "--config", str(cfg), "--out-dir", str(tmp_path / "o"), "--workers", "0")
         assert code == 2
         assert stderr.startswith("error[ConfigError]: workers must be >= 1")
+
+
+# a 32 x 64 sweep that validates whenever its sigma_values and halting lines do
+SMALL_RUN = "m = 32\nn_atoms = 64\nk_values = 2\ntrials_per_point = 3\nseed = 1\nalgorithms = sp, oracle\n"
+BOUNDS_SP = ("bounds", "--algorithm", "sp", "--delta", "0.1", "--n", "1024", "--k", "10")
+
+
+@pytest.mark.parametrize(
+    "argv, config, category",
+    [
+        (BOUNDS_SP + ("--sigma", "1e200"), None, "ValueError"),
+        (BOUNDS_SP + ("--sigma", "1", "--a", "1e300"), None, "ValueError"),
+        # 1024**103 = 2**1030 is past the float range
+        (BOUNDS_SP + ("--sigma", "1", "--a", "103"), None, "ValueError"),
+        (("run",), "sigma_values = 1e200\n", "ConfigError"),
+        # sigma^2 is finite, but ||y||_2 and 2 sigma^2 (the oracle MSE at k = 2) are not
+        (("run",), "sigma_values = 1e154\n", "ConfigError"),
+        (("run",), "sigma_values = 1e200\nhalting = fixed:3\n", "ConfigError"),
+    ],
+    ids=["bounds-sigma", "bounds-a", "bounds-a-103", "run-practical", "run-norm-overflow", "run-fixed"],
+)
+def test_huge_finite_sigma_or_a_rejected_without_traceback(tmp_path, capsys, argv, config, category):
+    # each used to end in an OverflowError traceback and exit 1
+    if config is not None:
+        path = tmp_path / "exp.cfg"
+        path.write_text(SMALL_RUN + config)
+        argv += ("--config", str(path), "--out-dir", str(tmp_path / "out"))
+    code, stdout, stderr = run_cli(capsys, *argv)
+    assert code == 2 and stdout == ""
+    assert len(stderr.splitlines()) == 1 and stderr.startswith(f"error[{category}]:")
+
+
+def test_readme_command_line_block_parses():
+    # every example in README's "Command line" block parses, and every subcommand has one
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```", 2)[1]
+    lines = [line for line in block.splitlines() if line.strip()]
+    parser = build_parser()
+    assert all(line.startswith("sparselab ") for line in lines)
+    shown = {parser.parse_args(shlex.split(line)[1:]).command for line in lines}
+    subcommands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert shown == set(subcommands.choices)
 
 
 class TestDiagnose:

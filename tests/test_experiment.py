@@ -126,7 +126,8 @@ def valid_settings(draw):
     halting = draw(st.none() | st.just("practical") | fixed)
     sigma = st.floats(min_value=0.0, max_value=1e6, exclude_min=halting in (None, "practical"))
     optional = dict(
-        a=draw(st.none() | st.floats(min_value=0.0, max_value=1e6, exclude_min=True)),
+        # n_atoms**a stays finite: n_atoms <= 256 and 256**100 = 2**800
+        a=draw(st.none() | st.floats(min_value=0.0, max_value=100.0, exclude_min=True)),
         halting=halting,
         workers=draw(st.none() | st.integers(min_value=1, max_value=64)),
         delta_mode=draw(st.none() | st.sampled_from(["threshold", "monte_carlo"])),
@@ -160,11 +161,11 @@ MALFORMED = {
     "m": ["0", "-3", "eight", "1.5", ""],
     "n_atoms": ["0", "2.0", "many"],
     "k_values": ["0", "-1", "2.5", "", "1,,2", "1, 1", "100000"],
-    "sigma_values": ["nan", "inf", "-1.0", "", "x", "0.5, 0.5"],
+    "sigma_values": ["nan", "inf", "-1.0", "", "x", "0.5, 0.5", "1e200"],
     "trials_per_point": ["0", "-2", "1e3"],
     "seed": ["s", "1.0", ""],
     "algorithms": ["omp", "", "sp,,iht", "sp, sp"],
-    "a": ["0", "-1.0", "nan", "inf", "x"],
+    "a": ["0", "-1.0", "nan", "inf", "x", "1e300"],
     "halting": ["fixed:0", "fixed:x", "fixed:", "sometimes", "", "fixed:101", "fixed:100000"],
     "workers": ["0", "-1", "x"],
     "delta_mode": ["exact", ""],
@@ -239,7 +240,7 @@ class TestConfigValidation:
 
     def test_fixed_halting_over_the_cap(self):
         # caught here, not by the first trial's IterationBudgetExceeded mid-sweep
-        with pytest.raises(ConfigError, match="fixed halting count 150 exceeds the iteration cap 100"):
+        with pytest.raises(ConfigError, match="bad halting 'fixed:150': fixed iteration count 150 exceeds cap 100"):
             small_config(halting="fixed:150")
         small_config(halting=f"fixed:{MAX_ITERATIONS}")
 
@@ -373,6 +374,14 @@ class TestRunTrial:
         D = generate_dictionary(32, 64, 1)
         records = run_trial(D, 3, 0.5, (Algorithm.SP, Algorithm.ORACLE), 123456789012345, halting="fixed:2")
         assert [r.trial_index for r in records] == [None, None]
+
+    def test_overflowing_measurements_recorded_not_raised(self):
+        # sigma^2 is finite but ||y||_2 overflows; the practical rule used to raise OverflowError from ceil(inf)
+        D = generate_dictionary(32, 64, 1)
+        with np.errstate(over="ignore"):
+            records = run_trial(D, 2, 1e154, (Algorithm.SP, Algorithm.ORACLE), seed=4, halting="practical")
+        assert records[0].error == "NonFinite"
+        assert records[1].error is None
 
     def test_deterministic_given_seed(self):
         D = generate_dictionary(32, 64, 2)

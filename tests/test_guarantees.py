@@ -228,6 +228,24 @@ class TestConditionCheck:
         with pytest.raises(ValueError):
             condition_check("omp", 0.1)
 
+    @pytest.mark.parametrize("second", [math.nan, -5.0])
+    def test_ds_second_delta_checked(self, second):
+        # a NaN used to read as "condition unmet" and -5 as "condition met"
+        with pytest.raises(ValueError, match=r"delta must lie in \[0, inf\)"):
+            condition_check("ds", 0.1, second)
+
+
+class TestDeltaCheck:
+    @pytest.mark.parametrize(
+        "call",
+        [iht_constants, ds_constant, lambda d: oracle_mse_bound(3, d, 1.0), lambda d: condition_check("sp", d)],
+        ids=["iht_constants", "ds_constant", "oracle_mse_bound", "condition_check"],
+    )
+    def test_nan_delta_rejected(self, call):
+        # each used to return NaN (or False from condition_check)
+        with pytest.raises(ValueError, match=r"delta must lie in \[0, inf\), got nan"):
+            call(math.nan)
+
 
 class TestProbabilisticBounds:
     def test_near_oracle_bound_formula(self):
@@ -302,7 +320,10 @@ class TestBoundReport:
         rep = bound_report("ds", params, second_delta=0.3)
         assert rep.condition_met
 
-    @pytest.mark.parametrize("field, value", [("a", math.nan), ("a", math.inf), ("sigma", math.nan), ("sigma", math.inf)])
+    @pytest.mark.parametrize(
+        "field, value",
+        [("a", math.nan), ("a", math.inf), ("sigma", math.nan), ("sigma", math.inf), ("a", 400.0), ("sigma", 1e200)],
+    )
     def test_params_reject_non_finite(self, field, value):
         good = dict(a=1.0, n_atoms=8, k=1, sigma=1.0, delta=0.1)
         with pytest.raises(ValueError, match=f"{field} must be .*finite"):

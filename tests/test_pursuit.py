@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sparselab.errors import Divergence, IterationBudgetExceeded
+from sparselab.errors import Divergence, IterationBudgetExceeded, NonFinite
 from sparselab.guarantees import cosamp_constants, iht_constants, oracle_mse_exact, rip_order, sp_constants
 from sparselab.linalg import SupportSet, least_squares_on_support, normalize_columns
 from sparselab.metrics import worst_case_noise_correlation
@@ -54,6 +54,15 @@ class TestHalting:
         assert practical_iteration_count(0.0, 2, 1.0) == 1
         assert practical_iteration_count(1.0, 4, 10.0) == 1
         assert practical_iteration_count(1e60, 1, 1e-60) == MAX_ITERATIONS == 100
+
+    def test_practical_count_caps_an_overflowing_ratio(self):
+        # ||y|| / (sqrt(k) sigma) is inf at a subnormal sigma: the cap, not an OverflowError from ceil(inf)
+        assert practical_iteration_count(10.0, 2, 5e-324) == MAX_ITERATIONS
+
+    @pytest.mark.parametrize("norm", [math.inf, math.nan])
+    def test_practical_count_rejects_non_finite_norm(self, norm):
+        with pytest.raises(NonFinite):
+            practical_iteration_count(norm, 2, 1.0)
 
     def test_fixed_iterations_validated(self):
         with pytest.raises(ValueError):
