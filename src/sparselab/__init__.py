@@ -40,7 +40,6 @@ from .linalg import (
 from .metrics import (
     NoiseCorrelation,
     RipEstimate,
-    RipMethod,
     mutual_coherence,
     rip_exact,
     rip_monte_carlo,
@@ -57,7 +56,6 @@ from .pursuit import (
     cosamp,
     iht,
     oracle_estimator,
-    practical_iteration_count,
     read_trace,
     recurrence_diagnostics,
     subspace_pursuit,

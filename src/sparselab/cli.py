@@ -56,17 +56,8 @@ def _cmd_bounds(args):
         noise_correlation=args.noise_correlation,
         second_delta=args.second_delta,
     )
-    payload = {
-        "algorithm": report.algorithm,
-        "delta": args.delta,
-        "condition_met": report.condition_met,
-        "constant": report.constant,
-        "probabilistic_bound": report.probabilistic_bound,
-        "success_probability": report.success_probability,
-    }
-    if report.deterministic_bound is not None:
-        payload["deterministic_bound"] = report.deterministic_bound
-    print(json.dumps(payload, indent=2))
+    payload = {"algorithm": report.algorithm, "delta": args.delta, **dataclasses.asdict(report)}
+    print(json.dumps({key: value for key, value in payload.items() if value is not None}, indent=2))
     return 0
 
 
@@ -76,7 +67,7 @@ def _cmd_rip(args):
         est = rip_exact(D, args.k, budget=args.budget)
     else:
         est = rip_monte_carlo(D, args.k, trials=args.trials, seed=args.seed)
-    print(json.dumps({**dataclasses.asdict(est), "method": est.method.value}, indent=2))
+    print(json.dumps(dataclasses.asdict(est), indent=2))
     return 0
 
 
@@ -98,20 +89,9 @@ def _cmd_diagnose(args):
     for check in report.checks:
         flag = "ok" if check.holds else "FAIL"
         print(f"iter {check.iteration:3d} {check.name:22s} lhs={check.lhs:.6e} rhs={check.rhs:.6e} {flag}")
-    print(
-        json.dumps(
-            {
-                "algorithm": report.algorithm.value,
-                "k": report.k,
-                "delta": report.delta,
-                "noise_correlation": report.noise_correlation,
-                "condition_met": report.condition_met,
-                "checks": len(report.checks),
-                "all_hold": report.all_hold,
-            },
-            indent=2,
-        )
-    )
+    payload = {f.name: getattr(report, f.name) for f in dataclasses.fields(report)}
+    payload.update(algorithm=report.algorithm.value, checks=len(report.checks), all_hold=report.all_hold)
+    print(json.dumps(payload, indent=2))
     return 0 if report.all_hold or not report.condition_met else 1
 
 

@@ -15,7 +15,7 @@ import json
 import math
 import multiprocessing
 import typing
-from dataclasses import MISSING, dataclass, fields, replace
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -132,8 +132,8 @@ def _halting_rule(spec, sigma):
     raise ConfigError(f"unknown halting {spec!r}; expected 'practical' or 'fixed:<count>'")
 
 
-# the reader of a config value or a CSV cell, by the field's annotated type; a tuple is a comma-separated list
-_READERS = {int: int, float: float, str: str, bool: lambda t: t == "true", Algorithm: lambda t: Algorithm(t.lower())}
+# the reader of a config value, by the field's annotated type; a tuple is a comma-separated list
+_READERS = {int: int, float: float, str: str, Algorithm: lambda t: Algorithm(t.lower())}
 
 
 def _config_reader(kind):
@@ -228,7 +228,7 @@ def run_trial(D, k, sigma, algorithms, seed, halting="practical"):
     oracle_result = oracle_estimator(D, y, true_support)
     oracle_sq = float(np.sum((x_values - oracle_result.estimate.values) ** 2))
 
-    cfg = PursuitConfig(k=k, halting=_halting_rule(halting, sigma), trace_enabled=False)
+    cfg = PursuitConfig(k=k, halting=_halting_rule(halting, sigma))
     records = []
     for algorithm in algorithms:
         # the oracle row reports the oracle's own draw: true support, no iterations
@@ -381,25 +381,8 @@ def emit_results(rows, format, path):
                 fh.write(json.dumps({col: getattr(row, col) for col in CSV_COLUMNS}) + "\n")
 
 
-def read_results_csv(path):
-    """Round-trip reader for emit_results(..., "csv", ...)."""
-    readers = [_READERS[f.type] for f in fields(AggregateRow)]
-    rows = []
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != ",".join(CSV_COLUMNS):
-            raise ValueError(f"{path}: unexpected header {header!r}")
-        for lineno, line in enumerate(fh, 2):
-            cells = line.strip().split(",")
-            if len(cells) != len(readers):
-                raise ValueError(f"{path}:{lineno}: expected {len(readers)} cells, got {len(cells)}")
-            rows.append(AggregateRow(*(read(cell) for read, cell in zip(readers, cells))))
-    return rows
-
-
 def emit_trials(records, path):
     """Write per-trial records as JSON lines."""
-    names = [f.name for f in fields(TrialRecord)]
     with open(path, "w", newline="") as fh:
         for r in records:
-            fh.write(json.dumps({name: getattr(r, name) for name in names}) + "\n")
+            fh.write(json.dumps(asdict(r)) + "\n")

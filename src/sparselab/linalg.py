@@ -158,8 +158,6 @@ def least_squares_on_support(D, T, y):
     relative to the largest is below 1e-12, or when |T| > m.
     """
     k = T.cardinality
-    if k == 0:
-        return np.zeros(0)
     if k > D.m:
         raise RankDeficient(f"|T| = {k} exceeds measurement dimension m = {D.m}")
     sub = D.columns(T)

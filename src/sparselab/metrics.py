@@ -20,7 +20,6 @@ column sums over P and |E_ab|; support indices are built only for the
 supports that reach the eigensolver.
 """
 
-import enum
 import itertools
 import math
 from dataclasses import dataclass
@@ -42,16 +41,11 @@ _BOUND_SLACK = 1e-9
 _FIRST_BATCH = 256
 
 
-class RipMethod(enum.Enum):
-    EXACT_ENUMERATION = "exact_enumeration"
-    MONTE_CARLO_LOWER_BOUND = "monte_carlo_lower_bound"
-
-
 @dataclass(frozen=True)
 class RipEstimate:
     k: int
     delta: float
-    method: RipMethod
+    method: str  # "exact_enumeration" or "monte_carlo_lower_bound"
     supports_checked: int
     seed: int | None = None
 
@@ -217,7 +211,7 @@ def rip_exact(D, k, budget=ENUMERATION_BUDGET):
         for prefixes in _prefix_chunks(n, k - 2, _chunk_rows(k)):
             bound, supports = _pair_candidates(absE, prefixes, best - _BOUND_SLACK)
             best = _best_first(E, bound, supports, best, k)
-    return RipEstimate(k=k, delta=best, method=RipMethod.EXACT_ENUMERATION, supports_checked=total)
+    return RipEstimate(k=k, delta=best, method="exact_enumeration", supports_checked=total)
 
 
 def rip_monte_carlo(D, k, trials, seed):
@@ -247,7 +241,7 @@ def rip_monte_carlo(D, k, trials, seed):
     return RipEstimate(
         k=k,
         delta=best,
-        method=RipMethod.MONTE_CARLO_LOWER_BOUND,
+        method="monte_carlo_lower_bound",
         supports_checked=trials,
         seed=seed,
     )

@@ -76,14 +76,20 @@ class PracticalLogRule:
             raise ValueError("the log halting rule needs sigma > 0")
 
     def iterations(self, y_norm, k):
-        return practical_iteration_count(y_norm, k, self.sigma)
+        """The count above, clamped to [1, MAX_ITERATIONS]; a non-finite y_norm raises NonFinite."""
+        if not math.isfinite(y_norm):
+            raise NonFinite(f"signal norm estimate {y_norm!r} is not finite")
+        if y_norm <= 0:
+            return 1
+        # a ratio past the float range (sigma near the smallest subnormal) takes the cap, never ceil(inf)
+        raw = min(math.log2(y_norm / (math.sqrt(k) * self.sigma)), MAX_ITERATIONS)
+        return int(max(math.ceil(raw), 1))
 
 
 @dataclass(frozen=True)
 class PursuitConfig:
     k: int
     halting: FixedIterations | PracticalLogRule
-    trace_enabled: bool = True
 
     def __post_init__(self):
         if self.k < 1:
@@ -107,21 +113,8 @@ class IterationRecord:
 class PursuitResult:
     estimate: SparseSignal
     iterations_run: int
-    trace: tuple | None
+    trace: tuple
     algorithm: Algorithm
-
-
-def practical_iteration_count(x_norm_estimate, k, sigma):
-    """ceil(log2(x_norm / (sqrt(k) sigma))), clamped to [1, MAX_ITERATIONS]."""
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
-    if not math.isfinite(x_norm_estimate):
-        raise NonFinite(f"signal norm estimate {x_norm_estimate!r} is not finite")
-    if x_norm_estimate <= 0:
-        return 1
-    # a ratio past the float range (sigma near the smallest subnormal) takes the cap, never ceil(inf)
-    raw = min(math.log2(x_norm_estimate / (math.sqrt(k) * sigma)), MAX_ITERATIONS)
-    return int(max(math.ceil(raw), 1))
 
 
 def _check_dims(D, k, algorithm):
@@ -165,7 +158,7 @@ def _pursue(algorithm, D, y, cfg, x_true):
     support = SupportSet(())
     values = np.zeros(0)
     y_r = y
-    trace = [] if cfg.trace_enabled else None
+    trace = []
     for ell in range(1, n_iters + 1):
         if grow is None:
             x_p = _dense(n, support, values)
@@ -184,27 +177,26 @@ def _pursue(algorithm, D, y, cfg, x_true):
             pruned, kept_positions = _prune(merged, coefficients, cfg.k)
             values = least_squares_on_support(D, pruned, y) if resolve else coefficients[kept_positions]
         y_r = y - D.columns(pruned) @ values
-        if trace is not None:
-            trace.append(
-                IterationRecord(
-                    iteration=ell,
-                    support_before=support,
-                    delta_support=delta_support,
-                    merged_support=merged,
-                    pruned_support=pruned,
-                    coefficients=coefficients,
-                    estimate_values=values,
-                    residual_norm=float(np.linalg.norm(y_r)),
-                    estimate_error=_error_vs(x_true, n, pruned, values),
-                )
+        trace.append(
+            IterationRecord(
+                iteration=ell,
+                support_before=support,
+                delta_support=delta_support,
+                merged_support=merged,
+                pruned_support=pruned,
+                coefficients=coefficients,
+                estimate_values=values,
+                residual_norm=float(np.linalg.norm(y_r)),
+                estimate_error=_error_vs(x_true, n, pruned, values),
             )
+        )
         support = pruned
     # SP's residual step already solved least squares on the final support
     estimate = SparseSignal(_dense(n, support, values), support, cfg.k)
     return PursuitResult(
         estimate=estimate,
         iterations_run=n_iters,
-        trace=tuple(trace) if trace is not None else None,
+        trace=tuple(trace),
         algorithm=algorithm,
     )
 
@@ -259,7 +251,7 @@ def oracle_estimator(D, y, T):
     """Least squares on the true support; the benchmark every bound targets."""
     coef = least_squares_on_support(D, T, y)
     estimate = SparseSignal(_dense(D.n_atoms, T, coef), T, max(T.cardinality, 1))
-    return PursuitResult(estimate=estimate, iterations_run=0, trace=None, algorithm=Algorithm.ORACLE)
+    return PursuitResult(estimate=estimate, iterations_run=0, trace=(), algorithm=Algorithm.ORACLE)
 
 
 @dataclass(frozen=True)
@@ -362,7 +354,7 @@ def recurrence_diagnostics(
     if algorithm is Algorithm.ORACLE:
         raise ValueError("the oracle estimator has no iteration recurrence")
     if not trace:
-        raise ValueError("empty trace; record with trace_enabled=True")
+        raise ValueError("empty trace")
     k = x_true.k
     if delta is None:
         delta = metrics.rip_exact(D, guarantees.rip_order(algorithm, k), budget=budget).delta
@@ -412,8 +404,8 @@ def write_trace(path, result, D, x_true=None, noise=None, sigma=None):
     ground truth, noise) so diagnostics can replay the file standalone; each
     following line is one iteration.
     """
-    if result.trace is None:
-        raise ValueError("result has no trace; solve with trace_enabled=True")
+    if not result.trace:
+        raise ValueError(f"a {result.algorithm.value} result has no iterations to trace")
     header = {
         "record": "header",
         "algorithm": result.algorithm.value,

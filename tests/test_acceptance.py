@@ -231,7 +231,7 @@ def test_criterion_6_noiseless_exact_recovery():
     counts = {}
     for name, solver in SOLVERS.items():
         iters = 100 if name == "iht" else 10
-        cfg = sl.PursuitConfig(k=5, halting=sl.FixedIterations(iters), trace_enabled=False)
+        cfg = sl.PursuitConfig(k=5, halting=sl.FixedIterations(iters))
         good = 0
         for s in seeds:
             x = sl.generate_signal(256, 5, s)

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from sparselab.errors import BudgetExceeded
 from sparselab.linalg import SupportSet, normalize_columns
 from sparselab.metrics import (
-    RipMethod,
     _deviation_matrix,
     _pair_candidates,
     _prefix_chunks,
@@ -121,7 +120,7 @@ class TestRipExact:
         D = random_dictionary(6, 10, 2)
         est = rip_exact(D, k)
         assert est.delta == pytest.approx(brute_force_rip(D, k), abs=1e-12)
-        assert est.method is RipMethod.EXACT_ENUMERATION
+        assert est.method == "exact_enumeration"
         assert est.supports_checked == math.comb(10, k)
 
     def test_k2_equals_coherence(self):
@@ -168,7 +167,7 @@ class TestRipMonteCarlo:
         for seed in range(5):
             est = rip_monte_carlo(D, 3, trials=50, seed=seed)
             assert est.delta <= exact + 1e-14
-            assert est.method is RipMethod.MONTE_CARLO_LOWER_BOUND
+            assert est.method == "monte_carlo_lower_bound"
             assert est.seed == seed
 
     def test_exhaustive_sampling_matches_exact(self):

@@ -19,7 +19,6 @@ from sparselab.pursuit import (
     cosamp,
     iht,
     oracle_estimator,
-    practical_iteration_count,
     read_trace,
     recurrence_diagnostics,
     subspace_pursuit,
@@ -47,22 +46,22 @@ SOLVERS = {"sp": subspace_pursuit, "cosamp": cosamp, "iht": iht}
 class TestHalting:
     def test_practical_count_formula(self):
         # ceil(log2(||x|| / (sqrt(K) sigma)))
-        assert practical_iteration_count(32.0, 1, 1.0) == 5
-        assert practical_iteration_count(64.0, 4, 0.5) == 6
+        assert PracticalLogRule(1.0).iterations(32.0, 1) == 5
+        assert PracticalLogRule(0.5).iterations(64.0, 4) == 6
 
     def test_practical_count_clamps(self):
-        assert practical_iteration_count(0.0, 2, 1.0) == 1
-        assert practical_iteration_count(1.0, 4, 10.0) == 1
-        assert practical_iteration_count(1e60, 1, 1e-60) == MAX_ITERATIONS == 100
+        assert PracticalLogRule(1.0).iterations(0.0, 2) == 1
+        assert PracticalLogRule(10.0).iterations(1.0, 4) == 1
+        assert PracticalLogRule(1e-60).iterations(1e60, 1) == MAX_ITERATIONS == 100
 
     def test_practical_count_caps_an_overflowing_ratio(self):
         # ||y|| / (sqrt(k) sigma) is inf at a subnormal sigma: the cap, not an OverflowError from ceil(inf)
-        assert practical_iteration_count(10.0, 2, 5e-324) == MAX_ITERATIONS
+        assert PracticalLogRule(5e-324).iterations(10.0, 2) == MAX_ITERATIONS
 
     @pytest.mark.parametrize("norm", [math.inf, math.nan])
     def test_practical_count_rejects_non_finite_norm(self, norm):
         with pytest.raises(NonFinite):
-            practical_iteration_count(norm, 2, 1.0)
+            PracticalLogRule(1.0).iterations(norm, 2)
 
     def test_fixed_iterations_validated(self):
         with pytest.raises(ValueError):
@@ -78,7 +77,7 @@ class TestHalting:
         sigma = 0.5
         cfg = PursuitConfig(k=2, halting=PracticalLogRule(sigma=sigma))
         res = subspace_pursuit(D, y, cfg)
-        assert res.iterations_run == practical_iteration_count(float(np.linalg.norm(y)), 2, sigma)
+        assert res.iterations_run == PracticalLogRule(sigma).iterations(float(np.linalg.norm(y)), 2)
 
     def test_zero_measurement_runs_one_iteration(self):
         D = random_dictionary(8, 12, 2)
@@ -105,7 +104,7 @@ class TestExactRecovery:
         x = generate_signal(128, 5, 5)
         y = D.entries @ x.values
         iters = 10 if name != "iht" else 60
-        cfg = PursuitConfig(k=5, halting=FixedIterations(iters), trace_enabled=False)
+        cfg = PursuitConfig(k=5, halting=FixedIterations(iters))
         res = SOLVERS[name](D, y, cfg)
         err = np.linalg.norm(res.estimate.values - x.values)
         assert err <= 1e-8 * np.linalg.norm(x.values)
@@ -114,7 +113,7 @@ class TestExactRecovery:
         D = random_dictionary(24, 48, 6)
         x = generate_signal(48, 3, 7)
         y = D.entries @ x.values + 0.5 * np.random.default_rng(8).standard_normal(24)
-        cfg = PursuitConfig(k=3, halting=FixedIterations(5), trace_enabled=False)
+        cfg = PursuitConfig(k=3, halting=FixedIterations(5))
         for solver in SOLVERS.values():
             res = solver(D, y, cfg)
             assert len(res.estimate.support) <= 3
@@ -245,7 +244,7 @@ class TestIht:
         D = normalize_columns(u + 0.01 * rng.standard_normal((6, 18)))
         x = generate_signal(18, 2, 3)
         y = D.entries @ x.values
-        cfg = PursuitConfig(k=2, halting=FixedIterations(100), trace_enabled=False)
+        cfg = PursuitConfig(k=2, halting=FixedIterations(100))
         with pytest.raises(Divergence):
             iht(D, y, cfg)
 
@@ -281,7 +280,7 @@ class TestDeterminism:
         D = random_dictionary(20, 40, 36)
         x = generate_signal(40, 4, 37)
         y = D.entries @ x.values + 0.2 * np.random.default_rng(38).standard_normal(20)
-        cfg = PursuitConfig(k=4, halting=FixedIterations(4), trace_enabled=False)
+        cfg = PursuitConfig(k=4, halting=FixedIterations(4))
         a = SOLVERS[name](D, y, cfg)
         b = SOLVERS[name](D, y, cfg)
         assert np.array_equal(a.estimate.values, b.estimate.values)
@@ -379,14 +378,13 @@ class TestTraceRoundTrip:
                 else:
                     assert g == w, f.name
 
-    def test_trace_disabled_gives_no_trace(self):
+    def test_oracle_result_has_no_trace_to_write(self, tmp_path):
         D = random_dictionary(10, 18, 42)
         x = generate_signal(18, 2, 43)
-        cfg = PursuitConfig(k=2, halting=FixedIterations(2), trace_enabled=False)
-        res = subspace_pursuit(D, D.entries @ x.values, cfg)
-        assert res.trace is None
-        with pytest.raises(ValueError):
-            write_trace("/dev/null", res, D)
+        res = oracle_estimator(D, D.entries @ x.values, x.support)
+        assert res.trace == ()
+        with pytest.raises(ValueError, match="no iterations"):
+            write_trace(tmp_path / "oracle.jsonl", res, D)
 
 
 class TestRecurrenceDiagnostics:
@@ -511,7 +509,7 @@ class TestProperties:
         D = normalize_columns(rng.standard_normal((16, 24)))
         x = generate_signal(24, k, seed)
         y = D.entries @ x.values + rng.standard_normal(16)
-        cfg = PursuitConfig(k=k, halting=FixedIterations(3), trace_enabled=False)
+        cfg = PursuitConfig(k=k, halting=FixedIterations(3))
         try:
             res = SOLVERS[name](D, y, cfg)
         except Divergence:
