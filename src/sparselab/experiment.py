@@ -262,8 +262,9 @@ def run_trial(D, k, sigma, algorithms, seed, halting="practical"):
 _WORKER_CTX = {}
 
 
-def _worker_init(entries, cfg):
-    _WORKER_CTX["D"] = normalize_columns(entries)
+def _worker_init(D, cfg):
+    # the sweep's own matrix, bit for bit: the sampled delta describes the same one
+    _WORKER_CTX["D"] = D
     _WORKER_CTX["cfg"] = cfg
 
 
@@ -339,11 +340,11 @@ def run_experiment(cfg):
     points = [(k, sigma) for k in cfg.k_values for sigma in cfg.sigma_values]
     tasks = [(t, k, sigma) for k, sigma in points for t in range(cfg.trials_per_point)]
     if cfg.workers == 1:
-        _worker_init(D.entries, cfg)
+        _worker_init(D, cfg)
         per_trial = list(map(_worker_run, tasks))
     else:
         with multiprocessing.Pool(
-            processes=cfg.workers, initializer=_worker_init, initargs=(D.entries, cfg)
+            processes=cfg.workers, initializer=_worker_init, initargs=(D, cfg)
         ) as pool:
             per_trial = pool.map(_worker_run, tasks, chunksize=8)
     records = [r for trial in per_trial for r in trial]

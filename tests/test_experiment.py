@@ -454,6 +454,23 @@ class TestRunExperiment:
         run_experiment(cfg)
         assert len(calls) == len(cfg.algorithms) * len(cfg.k_values)
 
+    def test_trials_solve_on_the_matrix_delta_is_sampled_on(self, monkeypatch):
+        sampled, solved = [], []
+
+        def sampling(D, order, **kwargs):
+            sampled.append(D.entries)
+            return rip_monte_carlo(D, order, **kwargs)
+
+        def trial(D, *args, **kwargs):
+            solved.append(D.entries)
+            return run_trial(D, *args, **kwargs)
+
+        monkeypatch.setattr(experiment, "rip_monte_carlo", sampling)
+        monkeypatch.setattr(experiment, "run_trial", trial)
+        run_experiment(small_config(trials_per_point=2, delta_mode="monte_carlo", delta_mc_trials=20))
+        assert sampled and solved
+        assert all(np.array_equal(D, sampled[0]) for D in sampled + solved)
+
     def test_monte_carlo_delta_mode_runs(self):
         cfg = small_config(trials_per_point=2, delta_mode="monte_carlo", delta_mc_trials=50)
         rows, _ = run_experiment(cfg)
