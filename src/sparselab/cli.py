@@ -57,7 +57,7 @@ def _cmd_bounds(args):
         second_delta=args.second_delta,
     )
     payload = {"algorithm": report.algorithm, "delta": args.delta, **dataclasses.asdict(report)}
-    print(json.dumps({key: value for key, value in payload.items() if value is not None}, indent=2))
+    print(json.dumps({key: value for key, value in payload.items() if value is not None}, indent=2, allow_nan=False))
     return 0
 
 
@@ -67,7 +67,7 @@ def _cmd_rip(args):
         est = rip_exact(D, args.k, budget=args.budget)
     else:
         est = rip_monte_carlo(D, args.k, trials=args.trials, seed=args.seed)
-    print(json.dumps(dataclasses.asdict(est), indent=2))
+    print(json.dumps(dataclasses.asdict(est), indent=2, allow_nan=False))
     return 0
 
 
@@ -91,7 +91,7 @@ def _cmd_diagnose(args):
         print(f"iter {check.iteration:3d} {check.name:22s} lhs={check.lhs:.6e} rhs={check.rhs:.6e} {flag}")
     payload = {f.name: getattr(report, f.name) for f in dataclasses.fields(report)}
     payload.update(algorithm=report.algorithm.value, checks=len(report.checks), all_hold=report.all_hold)
-    print(json.dumps(payload, indent=2))
+    print(json.dumps(payload, indent=2, allow_nan=False))
     return 0 if report.all_hold or not report.condition_met else 1
 
 

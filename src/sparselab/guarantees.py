@@ -179,7 +179,7 @@ def near_oracle_bound(c, params):
 
 def success_probability(a, n_atoms):
     """1 - 1 / (sqrt(pi (1+a) ln N) * N^a), the bounds' coverage probability."""
-    if a <= 0:
+    if not a > 0:
         raise ValueError("probability exponent a must be positive")
     if n_atoms < 2:
         raise ValueError("need at least two atoms")

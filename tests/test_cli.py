@@ -1,7 +1,10 @@
 import argparse
 import json
+import os
 import pathlib
 import shlex
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -201,15 +204,17 @@ BOUNDS_SP = ("bounds", "--algorithm", "sp", "--delta", "0.1", "--n", "1024", "--
         (BOUNDS_SP + ("--sigma", "1", "--a", "1e300"), None, "ValueError"),
         # 1024**103 = 2**1030 is past the float range
         (BOUNDS_SP + ("--sigma", "1", "--a", "103"), None, "ValueError"),
+        # k sigma^2 is finite, but the probabilistic bound is not
+        (BOUNDS_SP + ("--sigma", "1e153"), None, "ValueError"),
         (("run",), "sigma_values = 1e200\n", "ConfigError"),
         # sigma^2 is finite, but ||y||_2 and 2 sigma^2 (the oracle MSE at k = 2) are not
         (("run",), "sigma_values = 1e154\n", "ConfigError"),
         (("run",), "sigma_values = 1e200\nhalting = fixed:3\n", "ConfigError"),
     ],
-    ids=["bounds-sigma", "bounds-a", "bounds-a-103", "run-practical", "run-norm-overflow", "run-fixed"],
+    ids=["bounds-sigma", "bounds-a", "bounds-a-103", "bounds-infinite-bound", "run-practical", "run-norm-overflow", "run-fixed"],
 )
 def test_huge_finite_sigma_or_a_rejected_without_traceback(tmp_path, capsys, argv, config, category):
-    # each used to end in an OverflowError traceback and exit 1
+    # each used to end in an OverflowError traceback and exit 1, or print an Infinity bound and exit 0
     if config is not None:
         path = tmp_path / "exp.cfg"
         path.write_text(SMALL_RUN + config)
@@ -229,6 +234,15 @@ def test_readme_command_line_block_parses():
     shown = {parser.parse_args(shlex.split(line)[1:]).command for line in lines}
     subcommands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     assert shown == set(subcommands.choices)
+
+
+def test_readme_quickstart_runs(tmp_path):
+    # README's python block is run as written, so a deleted or renamed name it uses fails here
+    root = pathlib.Path(__file__).resolve().parents[1]
+    block = (root / "README.md").read_text().split("```python\n", 1)[1].split("```", 1)[0]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    done = subprocess.run([sys.executable, "-c", block], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 class TestDiagnose:

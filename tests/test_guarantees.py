@@ -267,6 +267,12 @@ class TestProbabilisticBounds:
     def test_success_probability_increases_with_n(self):
         assert success_probability(1.0, 2048) > success_probability(1.0, 1024)
 
+    @pytest.mark.parametrize("a", [0.0, -1.0, math.nan])
+    def test_success_probability_rejects_a_non_positive_exponent(self, a):
+        # a NaN exponent used to slip past the check and return nan
+        with pytest.raises(ValueError, match="exponent a must be positive"):
+            success_probability(a, 1024)
+
     def test_oracle_mse_bound(self):
         assert oracle_mse_bound(10, 0.0, 2.0) == pytest.approx(40.0, rel=1e-15)
         assert oracle_mse_bound(3, 0.5, 1.0) == pytest.approx(6.0, rel=1e-15)
