@@ -43,6 +43,11 @@ class Dictionary:
         entries.setflags(write=False)
         object.__setattr__(self, "entries", entries)
 
+    def __reduce__(self):
+        # an unpickled ndarray is writable; rebuilding through __init__ keeps
+        # the copy a pool worker receives read-only
+        return (Dictionary, (self.entries,))
+
     @property
     def m(self):
         return self.entries.shape[0]

@@ -17,6 +17,7 @@ recurrence_diagnostics replays a trace against the per-iteration error
 inequalities that drive each solver's accuracy guarantee.
 """
 
+import base64
 import enum
 import json
 import math
@@ -72,8 +73,8 @@ class PracticalLogRule:
     sigma: float
 
     def __post_init__(self):
-        if self.sigma <= 0:
-            raise ValueError("the log halting rule needs sigma > 0")
+        if not self.sigma > 0:
+            raise ValueError(f"the log halting rule needs sigma > 0, got {self.sigma!r}")
 
     def iterations(self, y_norm, k):
         """The count above, clamped to [1, MAX_ITERATIONS]; a non-finite y_norm raises NonFinite."""
@@ -381,19 +382,64 @@ def _to_json(value):
     if isinstance(value, SupportSet):
         return list(value.indices)
     if isinstance(value, np.ndarray):
-        return value.tolist()
+        return _array_to_json(value)
     return value
 
 
-def _array_from_json(lst):
-    return np.asarray(lst, dtype=np.float64)
+def _array_to_json(a):
+    """A float array as base64 of its little-endian float64 bytes: exact, and far faster than a list of floats."""
+    return base64.b64encode(np.ascontiguousarray(a, dtype="<f8").tobytes()).decode("ascii")
+
+
+def _array_from_json(value):
+    if not isinstance(value, str):
+        raise TypeError(f"expected a base64 string of float64 bytes, got {type(value).__name__}")
+    raw = base64.b64decode(value, validate=True)
+    if len(raw) % 8:
+        raise ValueError(f"{len(raw)} bytes is not a whole number of float64 values")
+    return np.frombuffer(raw, dtype="<f8").astype(np.float64)
+
+
+def _typed(*types):
+    """A reader that passes a JSON value of exactly one of `types`."""
+
+    def read(value):
+        # type(), not isinstance: a JSON true is a bool, which isinstance counts as an int
+        if type(value) not in types:
+            raise TypeError(f"expected {' or '.join(t.__name__ for t in types)}, got {type(value).__name__}")
+        return value
+
+    return read
+
+
+_INT, _NUMBER, _LIST, _OBJECT = _typed(int), _typed(int, float), _typed(list), _typed(dict)
+
+
+def _field(path, obj, key, read, optional=False, prefix=""):
+    """obj[key] through `read` (None for an optional null); any fault is a ValueError naming the file and field."""
+    name = prefix + key
+    if key not in obj:
+        raise ValueError(f"{path}: missing field {name!r}")
+    value = obj[key]
+    if value is None and optional:
+        return None
+    try:
+        return read(value)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: field {name!r}: {exc}") from None
 
 
 # every IterationRecord field, in JSON key order, with the reader for its
-# annotated type; a None value reads back as None
-_READERS = {SupportSet: SupportSet, np.ndarray: _array_from_json, int: int, float: float}
+# annotated type and whether the annotation admits None
+_READERS = {
+    SupportSet: lambda value: SupportSet([_INT(i) for i in _LIST(value)]),
+    np.ndarray: _array_from_json,
+    int: _INT,
+    float: lambda value: float(_NUMBER(value)),
+}
 _ITERATION_FIELDS = {
-    f.name: _READERS[(typing.get_args(f.type) or (f.type,))[0]] for f in fields(IterationRecord)
+    f.name: (_READERS[(typing.get_args(f.type) or (f.type,))[0]], type(None) in typing.get_args(f.type))
+    for f in fields(IterationRecord)
 }
 
 
@@ -402,7 +448,8 @@ def write_trace(path, result, D, x_true=None, noise=None, sigma=None):
 
     The first line is a header with the full problem instance (dictionary,
     ground truth, noise) so diagnostics can replay the file standalone; each
-    following line is one iteration.
+    following line is one iteration. Every float array is stored as the
+    base64 of its little-endian float64 bytes, so it reads back bit-exact.
     """
     if not result.trace:
         raise ValueError(f"a {result.algorithm.value} result has no iterations to trace")
@@ -413,15 +460,15 @@ def write_trace(path, result, D, x_true=None, noise=None, sigma=None):
         "m": D.m,
         "n_atoms": D.n_atoms,
         "iterations_run": result.iterations_run,
-        "dictionary": D.entries.tolist(),
+        "dictionary": _array_to_json(D.entries),
         "x_true": None
         if x_true is None
         else {
-            "values": x_true.values.tolist(),
+            "values": _array_to_json(x_true.values),
             "support": _to_json(x_true.support),
             "k": x_true.k,
         },
-        "noise": None if noise is None else np.asarray(noise, dtype=np.float64).tolist(),
+        "noise": None if noise is None else _array_to_json(noise),
         "sigma": None if sigma is None else float(sigma),
     }
     with open(path, "w", newline="") as fh:
@@ -444,26 +491,39 @@ class TraceBundle:
 
 
 def read_trace(path):
-    """Load a trace file written by write_trace."""
+    """Load a trace file written by write_trace.
+
+    A malformed file (a missing field, a value of the wrong type, an array
+    stored as a list of floats by an older sparselab) raises ValueError
+    naming the file and the field.
+    """
     with open(path) as fh:
         lines = [json.loads(line) for line in fh if line.strip()]
-    if not lines or lines[0].get("record") != "header":
+    if not lines or not isinstance(lines[0], dict) or lines[0].get("record") != "header":
         raise ValueError(f"{path}: missing trace header line")
     h = lines[0]
-    x = h["x_true"]
+    shape = _field(path, h, "m", _INT), _field(path, h, "n_atoms", _INT)
+    entries = _field(path, h, "dictionary", lambda value: _array_from_json(value).reshape(shape))
+    x = _field(path, h, "x_true", _OBJECT, optional=True)
     records = []
-    for obj in lines[1:]:
-        if obj.get("record") != "iteration":
-            raise ValueError(f"{path}: unexpected record {obj.get('record')!r}")
-        values = {name: None if obj[name] is None else read(obj[name]) for name, read in _ITERATION_FIELDS.items()}
+    for number, obj in enumerate(lines[1:], start=2):
+        if not isinstance(obj, dict) or obj.get("record") != "iteration":
+            raise ValueError(f"{path}: line {number} is not an iteration record")
+        values = {name: _field(path, obj, name, read, optional) for name, (read, optional) in _ITERATION_FIELDS.items()}
         records.append(IterationRecord(**values))
     return TraceBundle(
-        algorithm=Algorithm(h["algorithm"]),
-        k=int(h["k"]),
-        dictionary=Dictionary(h["dictionary"]),
+        algorithm=_field(path, h, "algorithm", Algorithm),
+        k=_field(path, h, "k", _INT),
+        dictionary=Dictionary(entries),
         records=tuple(records),
-        x_true=None if x is None else SparseSignal(x["values"], SupportSet(x["support"]), int(x["k"])),
-        noise=None if h["noise"] is None else _array_from_json(h["noise"]),
-        sigma=None if h["sigma"] is None else float(h["sigma"]),
-        iterations_run=int(h["iterations_run"]),
+        x_true=None
+        if x is None
+        else SparseSignal(
+            _field(path, x, "values", _array_from_json, prefix="x_true."),
+            _field(path, x, "support", _READERS[SupportSet], prefix="x_true."),
+            _field(path, x, "k", _INT, prefix="x_true."),
+        ),
+        noise=_field(path, h, "noise", _array_from_json, optional=True),
+        sigma=_field(path, h, "sigma", _READERS[float], optional=True),
+        iterations_run=_field(path, h, "iterations_run", _INT),
     )

@@ -1,4 +1,5 @@
 import argparse
+import base64
 import json
 import os
 import pathlib
@@ -297,6 +298,39 @@ class TestDiagnose:
         payload = json.loads(stdout[stdout.index("{"):])
         assert payload["condition_met"] is False
         assert payload["all_hold"] is True
+
+    @pytest.mark.parametrize(
+        "field, edit",
+        [
+            ("noise", lambda h, r: h.pop("noise")),
+            ("coefficients", lambda h, r: r.pop("coefficients")),
+            ("x_true.support", lambda h, r: h["x_true"].pop("support")),
+            ("k", lambda h, r: h.update(k="2")),
+            ("iterations_run", lambda h, r: h.update(iterations_run=True)),
+            ("pruned_support", lambda h, r: r.update(pruned_support="0,1")),
+            ("residual_norm", lambda h, r: r.update(residual_norm=[1.0])),
+            ("estimate_values", lambda h, r: r.update(estimate_values=None)),
+            # arrays as lists of floats: the format of older sparselab traces
+            ("dictionary", lambda h, r: h.update(dictionary=np.eye(12, 18).tolist())),
+            ("coefficients", lambda h, r: r.update(coefficients=[0.5, 0.25])),
+            # 7 and 12 bytes: not a whole number of float64 values
+            ("noise", lambda h, r: h.update(noise=base64.b64encode(bytes(7)).decode())),
+            ("x_true.values", lambda h, r: h["x_true"].update(values=base64.b64encode(bytes(12)).decode())),
+            ("dictionary", lambda h, r: h.update(dictionary="not base64!")),
+            ("dictionary", lambda h, r: h.update(m=11)),
+        ],
+    )
+    def test_malformed_trace_exits_2_naming_the_field(self, tmp_path, capsys, field, edit):
+        # a missing key or a wrong type used to escape read_trace as a KeyError or
+        # TypeError traceback with exit 1, the code for "conditions met and a check fails"
+        path = self.make_trace(tmp_path)
+        header, record, *rest = (json.loads(line) for line in path.read_text().splitlines())
+        edit(header, record)
+        path.write_text("".join(json.dumps(obj) + "\n" for obj in (header, record, *rest)))
+        code, stdout, stderr = run_cli(capsys, "diagnose", "--in", str(path), "--delta", "0.9")
+        assert code == 2 and stdout == ""
+        assert stderr.startswith(f"error[ValueError]: {path}: ")
+        assert repr(field) in stderr
 
     def test_library_budget_applies_by_default(self, tmp_path, capsys):
         # without --delta, sp at k = 3 reads delta_9 of 26 atoms: C(26, 9) = 3,124,550 supports

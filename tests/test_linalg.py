@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -59,6 +61,15 @@ class TestDictionary:
         D = random_dictionary(4, 6, 1)
         with pytest.raises(ValueError):
             D.entries[0, 0] = 5.0
+
+    def test_pickle_round_trip_stays_read_only(self):
+        # pool workers receive the dictionary pickled; a plain unpickled ndarray is writable
+        D = random_dictionary(5, 9, 3)
+        D2 = pickle.loads(pickle.dumps(D))
+        assert D2.entries.tobytes() == D.entries.tobytes()
+        assert not D2.entries.flags.writeable
+        with pytest.raises(ValueError):
+            D2.entries[0, 0] = 2.0
 
     def test_columns_selects_support(self):
         D = random_dictionary(5, 9, 2)

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from sparselab.errors import Divergence, IterationBudgetExceeded, NonFinite
 from sparselab.guarantees import cosamp_constants, iht_constants, oracle_mse_exact, rip_order, sp_constants
-from sparselab.linalg import SupportSet, least_squares_on_support, normalize_columns
+from sparselab.linalg import Dictionary, SparseSignal, SupportSet, least_squares_on_support, normalize_columns
 from sparselab.metrics import worst_case_noise_correlation
 from sparselab.pursuit import (
     MAX_ITERATIONS,
@@ -16,6 +16,7 @@ from sparselab.pursuit import (
     IterationRecord,
     PracticalLogRule,
     PursuitConfig,
+    PursuitResult,
     cosamp,
     iht,
     oracle_estimator,
@@ -57,6 +58,12 @@ class TestHalting:
     def test_practical_count_caps_an_overflowing_ratio(self):
         # ||y|| / (sqrt(k) sigma) is inf at a subnormal sigma: the cap, not an OverflowError from ceil(inf)
         assert PracticalLogRule(5e-324).iterations(10.0, 2) == MAX_ITERATIONS
+
+    @pytest.mark.parametrize("sigma", [0.0, -1.0, math.nan])
+    def test_practical_rule_rejects_a_non_positive_sigma(self, sigma):
+        # a NaN sigma used to construct and fail later inside math.ceil
+        with pytest.raises(ValueError, match="needs sigma > 0"):
+            PracticalLogRule(sigma)
 
     @pytest.mark.parametrize("norm", [math.inf, math.nan])
     def test_practical_count_rejects_non_finite_norm(self, norm):
@@ -377,6 +384,55 @@ class TestTraceRoundTrip:
                     assert np.array_equal(g, w), f.name
                 else:
                     assert g == w, f.name
+
+    def test_arrays_read_back_bit_exact(self, tmp_path):
+        # -0.0, a subnormal and values that need all 17 significant digits;
+        # np.array_equal cannot see a -0.0 flip, so compare the bytes
+        tiny, third, step = 5e-324, 1.0 / 3.0, np.nextafter(1.0, 2.0) - 1.0
+        entries = np.zeros((2, 4))
+        entries[:, 0] = (1.0, tiny)
+        entries[:, 1] = (-0.0, -1.0)
+        entries[:, 2] = (0.6, 0.8)
+        entries[:, 3] = (math.sqrt(third), math.sqrt(1.0 - third))
+        D = Dictionary(entries)
+        x = SparseSignal(np.array([-0.0, third, 0.0, tiny]), SupportSet((1, 3)), 2)
+        noise = np.array([0.1 + 0.2, -0.0])
+        record = IterationRecord(
+            iteration=1,
+            support_before=SupportSet(()),
+            delta_support=SupportSet((1, 3)),
+            merged_support=SupportSet((1, 3)),
+            pruned_support=SupportSet((1, 3)),
+            coefficients=np.array([-0.0, 1.0 + step]),
+            estimate_values=np.array([tiny, -tiny]),
+            residual_norm=0.1 + 0.2,
+            estimate_error=third,
+        )
+        estimate = SparseSignal(np.array([0.0, -0.0, 0.0, tiny]), SupportSet((1, 3)), 2)
+        res = PursuitResult(estimate=estimate, iterations_run=1, trace=(record,), algorithm=Algorithm.SP)
+        path = tmp_path / "exact.jsonl"
+        write_trace(path, res, D, x_true=x, noise=noise, sigma=third)
+        bundle = read_trace(path)
+        assert bundle.dictionary.entries.tobytes() == D.entries.tobytes()
+        assert bundle.x_true.values.tobytes() == x.values.tobytes()
+        assert bundle.noise.tobytes() == noise.tobytes()
+        (got,) = bundle.records
+        assert got.coefficients.tobytes() == record.coefficients.tobytes()
+        assert got.estimate_values.tobytes() == record.estimate_values.tobytes()
+        assert (got.residual_norm, got.estimate_error, bundle.sigma) == (0.1 + 0.2, third, third)
+
+    def test_file_size_is_the_binary_arrays_plus_a_small_rest(self, tmp_path):
+        # base64 of the m*N float64 dictionary bytes, plus a fixed allowance
+        # for truth, noise and the iteration lines; floats written as text
+        # take about twice the bound
+        m, n = 64, 128
+        D = random_dictionary(m, n, 52)
+        x = generate_signal(n, 4, 53)
+        e = 0.3 * np.random.default_rng(54).standard_normal(m)
+        res = subspace_pursuit(D, D.entries @ x.values + e, PursuitConfig(k=4, halting=FixedIterations(3)), x_true=x)
+        path = tmp_path / "trace.jsonl"
+        write_trace(path, res, D, x_true=x, noise=e, sigma=0.3)
+        assert path.stat().st_size <= 4 * math.ceil(8 * m * n / 3) + 8192
 
     def test_oracle_result_has_no_trace_to_write(self, tmp_path):
         D = random_dictionary(10, 18, 42)
