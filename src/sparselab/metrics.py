@@ -12,8 +12,10 @@ order-k constant is the maximum of delta_T over all supports of size k.
 Exact enumeration is best-bound-first. The Gershgorin bound of a support,
 the largest row sum of |G_T - I| with the diagonal residue included, caps
 delta_T. Within each chunk of supports the ones whose bound can still beat
-the running maximum go to the eigensolver in falling bound order, and the
-rest of the chunk is skipped as soon as the next bound cannot. For k >= 3 a
+the running maximum are gathered in falling bound order, and the rest of the
+chunk is skipped as soon as the next bound cannot. A gathered block A goes to
+the eigensolver only if the far tighter bound sqrt(max row sum of |A^2|),
+from rho(A)^2 = rho(A^2), can beat the maximum too. For k >= 3 a
 support is split into a prefix P (its k - 2 smallest atoms) and a pair a < b
 above P, so its row sums follow in O(k) from the prefix's own row sums, its
 column sums over P and |E_ab|; support indices are built only for the
@@ -31,14 +33,17 @@ from .linalg import SupportSet, top_k_support
 
 ENUMERATION_BUDGET = 2 * 10**6
 
-# per-chunk gather budget in matrix elements; keeps memory flat for large k
-_CHUNK_ELEMENTS = 2 * 10**7
+# per-chunk gather budget in matrix elements (32 MB of float64); keeps
+# memory flat for large k
+_CHUNK_ELEMENTS = 4 * 10**6
 
 # slack on the pruning test, so float rounding in a bound never drops the argmax
 _BOUND_SLACK = 1e-9
 
-# eigensolver batch sizes of a chunk: the first, doubling up to _chunk_rows(k) // 16
+# gathered-block batch sizes of a chunk: the first, doubling up to
+# _BATCH_ELEMENTS // k**2 blocks (2 MB of float64 per gather)
 _FIRST_BATCH = 256
+_BATCH_ELEMENTS = 2**18
 
 
 @dataclass(frozen=True)
@@ -75,9 +80,19 @@ def _deviation_matrix(D):
 
 def _support_deltas(E, idx):
     """Isometry defect of each support row in idx, via batched eigenvalues."""
-    sub = E[idx[:, :, None], idx[:, None, :]]
+    return _block_deltas(E[idx[:, :, None], idx[:, None, :]])
+
+
+def _block_deltas(sub):
+    """Spectral radius of each symmetric block E_T; per block, so independent of the batch."""
     w = np.linalg.eigvalsh(sub)
     return np.maximum(w[:, -1], -w[:, 0])
+
+
+def _square_bounds(sub):
+    """Upper bound on the spectral radius of each symmetric block A: rho(A)^2 = rho(A^2) <= max row sum of |A^2|."""
+    square = sub @ sub
+    return np.sqrt(np.abs(square, out=square).sum(axis=2).max(axis=1))
 
 
 def _combination_chunks(n, k, chunk):
@@ -99,17 +114,25 @@ def _best_first(E, bound, supports, best, k):
     """Raise `best` over candidate supports, evaluated in falling bound order.
 
     `supports(sel)` builds the sorted support rows of candidate positions
-    `sel`. Evaluation stops once the next bound cannot beat `best`.
+    `sel`. Evaluation stops once the next bound cannot beat `best`; of each
+    gathered batch, the eigensolver sees only the blocks whose squared bound
+    can beat it.
     """
     order = np.argsort(-bound, kind="stable")
     falling = -bound[order]
-    pos, size, cap = 0, _FIRST_BATCH, max(_FIRST_BATCH, _chunk_rows(k) // 16)
+    pos, size, cap = 0, _FIRST_BATCH, max(_FIRST_BATCH, _BATCH_ELEMENTS // (k * k))
     while pos < order.size:
         # candidates that can still win: bound > best - slack
         stop = min(int(np.searchsorted(falling, -(best - _BOUND_SLACK))), pos + size)
         if stop <= pos:
             break
-        best = max(best, float(_support_deltas(E, supports(order[pos:stop])).max()))
+        idx = supports(order[pos:stop])
+        sub = E[idx[:, :, None], idx[:, None, :]]
+        # the squared-block bound is far tighter than Gershgorin's, so few
+        # blocks of a batch reach the eigensolver
+        sub = sub[_square_bounds(sub) > best - _BOUND_SLACK]
+        if len(sub):
+            best = max(best, float(_block_deltas(sub).max()))
         pos = stop
         size = min(2 * size, cap)
     return best
@@ -167,9 +190,11 @@ def rip_exact(D, k, budget=ENUMERATION_BUDGET):
     The Gershgorin bound of a support (the largest row sum of |G_T - I|,
     diagonal residue included) is a rigorous upper bound on the spectral
     radius of G_T - I, that is on delta_T. In each chunk of supports, the
-    ones whose bound can beat the running maximum are evaluated in falling
-    bound order, in batches; the rest of the chunk is skipped without an
-    eigendecomposition once the next bound cannot beat it. So the returned
+    ones whose bound can beat the running maximum are gathered in falling
+    bound order, in batches; the rest of the chunk is skipped once the next
+    bound cannot beat it. Of a gathered batch, only the blocks whose squared
+    bound (see _square_bounds) can beat the maximum reach the eigensolver.
+    So the returned
     maximum is exact, and bit-equal to a full enumeration: every evaluated
     block is gathered as E[T, T] for sorted T.
 
