@@ -272,14 +272,14 @@ def rip_monte_carlo(D, k, trials, seed):
     )
 
 
-def worst_case_noise_correlation(D, e, k, use_enumeration=False, budget=ENUMERATION_BUDGET):
+def worst_case_noise_correlation(D, e, k, use_enumeration=False):
     """Worst correlation of any size-k column subset with the vector e.
 
     Returns max over |T| = k of ||D_T* e||_2 together with the maximizing
     support. The maximizer is the set of k largest |<d_i, e>|, so the
     default path sorts squared correlations instead of enumerating; pass
     use_enumeration=True to force the brute-force oracle (subject to
-    `budget`).
+    ENUMERATION_BUDGET).
     """
     e = np.asarray(e, dtype=np.float64)
     if not np.all(np.isfinite(e)):
@@ -295,8 +295,8 @@ def worst_case_noise_correlation(D, e, k, use_enumeration=False, budget=ENUMERAT
         value = float(np.linalg.norm(corr[support.as_array()]))
         return NoiseCorrelation(k=k, value=value, argmax_support=support)
     total = math.comb(n, k)
-    if budget is not None and total > budget:
-        raise BudgetExceeded(f"C({n},{k}) = {total} supports exceeds budget {budget}")
+    if total > ENUMERATION_BUDGET:
+        raise BudgetExceeded(f"C({n},{k}) = {total} supports exceeds budget {ENUMERATION_BUDGET}")
     sq = corr**2
     best = -1.0
     best_support = None

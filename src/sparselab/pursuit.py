@@ -99,8 +99,9 @@ class PursuitConfig:
 
 @dataclass(frozen=True)
 class IterationRecord:
-    iteration: int
-    support_before: SupportSet
+    """One iteration. Its number is its 1-based position in the trace; the support
+    before it is the previous record's pruned_support, or empty for the first."""
+
     delta_support: SupportSet | None
     merged_support: SupportSet | None
     pruned_support: SupportSet
@@ -113,9 +114,12 @@ class IterationRecord:
 @dataclass(frozen=True)
 class PursuitResult:
     estimate: SparseSignal
-    iterations_run: int
     trace: tuple
     algorithm: Algorithm
+
+    @property
+    def iterations_run(self):
+        return len(self.trace)
 
 
 def _check_dims(D, k, algorithm):
@@ -180,8 +184,6 @@ def _pursue(algorithm, D, y, cfg, x_true):
         y_r = y - D.columns(pruned) @ values
         trace.append(
             IterationRecord(
-                iteration=ell,
-                support_before=support,
                 delta_support=delta_support,
                 merged_support=merged,
                 pruned_support=pruned,
@@ -196,7 +198,6 @@ def _pursue(algorithm, D, y, cfg, x_true):
     estimate = SparseSignal(_dense(n, support, values), support, cfg.k)
     return PursuitResult(
         estimate=estimate,
-        iterations_run=n_iters,
         trace=tuple(trace),
         algorithm=algorithm,
     )
@@ -252,7 +253,7 @@ def oracle_estimator(D, y, T):
     """Least squares on the true support; the benchmark every bound targets."""
     coef = least_squares_on_support(D, T, y)
     estimate = SparseSignal(_dense(D.n_atoms, T, coef), T, max(T.cardinality, 1))
-    return PursuitResult(estimate=estimate, iterations_run=0, trace=(), algorithm=Algorithm.ORACLE)
+    return PursuitResult(estimate=estimate, trace=(), algorithm=Algorithm.ORACLE)
 
 
 @dataclass(frozen=True)
@@ -283,45 +284,9 @@ def _holds(lhs, rhs):
     return bool(lhs <= rhs + 1e-12 * max(1.0, abs(rhs)))
 
 
-def _restricted_norm(x_true, support):
-    return float(np.linalg.norm(x_true.values[support.as_array()]))
-
-
 def _bound(a, prev, b, nc):
     # an infinite coefficient (delta past the pole) bounds nothing: +inf, never inf * 0 = nan
     return math.inf if math.inf in (a, b) else a * prev + b * nc
-
-
-def _sp_checks(records, x_true, merge, prune, composed, nc):
-    T = x_true.support
-    checks = []
-    for r in records:
-        miss_prev = _restricted_norm(x_true, T.difference(r.support_before))
-        miss_merged = _restricted_norm(x_true, T.difference(r.merged_support))
-        miss_pruned = _restricted_norm(x_true, T.difference(r.pruned_support))
-        inequalities = (
-            ("merged_support_miss", miss_merged, merge, miss_prev),
-            ("pruned_support_miss", miss_pruned, prune, miss_merged),
-            ("composed_recurrence", miss_pruned, composed, miss_prev),
-        )
-        for name, lhs, (a, b), prev in inequalities:
-            rhs = _bound(a, prev, b, nc)
-            checks.append(DiagnosticCheck(r.iteration, name, lhs, rhs, _holds(lhs, rhs)))
-    return checks
-
-
-def _estimate_recurrence_checks(records, x_true, rho, tau, nc, n):
-    checks = []
-    prev = np.zeros(n)
-    for r in records:
-        cur = _dense(n, r.pruned_support, r.estimate_values)
-        lhs = float(np.linalg.norm(x_true.values - cur))
-        rhs = _bound(rho, float(np.linalg.norm(x_true.values - prev)), tau, nc)
-        checks.append(
-            DiagnosticCheck(r.iteration, "estimate_recurrence", lhs, rhs, _holds(lhs, rhs))
-        )
-        prev = cur
-    return checks
 
 
 def recurrence_diagnostics(
@@ -345,7 +310,10 @@ def recurrence_diagnostics(
     inequalities are only guarantees when the family's condition holds (see
     condition_met); checks are evaluated and reported regardless. Past the
     SP/CoSaMP pole (delta >= 1) every rhs is +inf, so those checks hold
-    vacuously.
+    vacuously. The trace must start at its first iteration: iteration i is
+    the trace's i-th record, and the iterate before the first record is the
+    empty support with value 0, so a slice such as res.trace[2:] is read as
+    if it started from zero.
 
     Returns
     -------
@@ -364,10 +332,29 @@ def recurrence_diagnostics(
     nc = float(noise_correlation)
     d = float(delta)
     steps = guarantees.recurrence_coefficients(algorithm, d)
-    if algorithm is Algorithm.SP:
-        checks = _sp_checks(trace, x_true, *steps, nc)
-    else:
-        checks = _estimate_recurrence_checks(trace, x_true, *steps[0], nc, D.n_atoms)
+    T, n = x_true.support, D.n_atoms
+
+    def miss(support):
+        return float(np.linalg.norm(x_true.values[T.difference(support).as_array()]))
+
+    checks = []
+    before = SupportSet(()), np.zeros(0)
+    for ell, r in enumerate(trace, start=1):
+        if algorithm is Algorithm.SP:
+            miss_prev, miss_merged, miss_pruned = map(miss, (before[0], r.merged_support, r.pruned_support))
+            merge, prune, composed = steps
+            inequalities = (
+                ("merged_support_miss", miss_merged, merge, miss_prev),
+                ("pruned_support_miss", miss_pruned, prune, miss_merged),
+                ("composed_recurrence", miss_pruned, composed, miss_prev),
+            )
+        else:
+            err = _error_vs(x_true, n, r.pruned_support, r.estimate_values)
+            inequalities = (("estimate_recurrence", err, steps[0], _error_vs(x_true, n, *before)),)
+        for name, lhs, (a, b), prev in inequalities:
+            rhs = _bound(a, prev, b, nc)
+            checks.append(DiagnosticCheck(ell, name, lhs, rhs, _holds(lhs, rhs)))
+        before = r.pruned_support, r.estimate_values
     return DiagnosticsReport(
         algorithm=algorithm,
         k=k,
@@ -434,7 +421,6 @@ def _field(path, obj, key, read, optional=False, prefix=""):
 _READERS = {
     SupportSet: lambda value: SupportSet([_INT(i) for i in _LIST(value)]),
     np.ndarray: _array_from_json,
-    int: _INT,
     float: lambda value: float(_NUMBER(value)),
 }
 _ITERATION_FIELDS = {
@@ -459,7 +445,6 @@ def write_trace(path, result, D, x_true=None, noise=None, sigma=None):
         "k": result.estimate.k,
         "m": D.m,
         "n_atoms": D.n_atoms,
-        "iterations_run": result.iterations_run,
         "dictionary": _array_to_json(D.entries),
         "x_true": None
         if x_true is None
@@ -487,26 +472,36 @@ class TraceBundle:
     x_true: SparseSignal | None
     noise: np.ndarray | None
     sigma: float | None
-    iterations_run: int
+
+    @property
+    def iterations_run(self):
+        return len(self.records)
 
 
 def read_trace(path):
     """Load a trace file written by write_trace.
 
-    A malformed file (a missing field, a value of the wrong type, an array
-    stored as a list of floats by an older sparselab) raises ValueError
-    naming the file and the field.
+    A malformed file (a line that is not JSON, a missing field, a value of
+    the wrong type, an array stored as a list of floats by an older
+    sparselab) raises ValueError naming the file and the line or field.
     """
+    lines = []
     with open(path) as fh:
-        lines = [json.loads(line) for line in fh if line.strip()]
-    if not lines or not isinstance(lines[0], dict) or lines[0].get("record") != "header":
+        for number, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                lines.append((number, json.loads(line)))
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{path}: line {number} is not JSON: {exc}") from None
+    if not lines or not isinstance(lines[0][1], dict) or lines[0][1].get("record") != "header":
         raise ValueError(f"{path}: missing trace header line")
-    h = lines[0]
+    h = lines[0][1]
     shape = _field(path, h, "m", _INT), _field(path, h, "n_atoms", _INT)
     entries = _field(path, h, "dictionary", lambda value: _array_from_json(value).reshape(shape))
     x = _field(path, h, "x_true", _OBJECT, optional=True)
     records = []
-    for number, obj in enumerate(lines[1:], start=2):
+    for number, obj in lines[1:]:
         if not isinstance(obj, dict) or obj.get("record") != "iteration":
             raise ValueError(f"{path}: line {number} is not an iteration record")
         values = {name: _field(path, obj, name, read, optional) for name, (read, optional) in _ITERATION_FIELDS.items()}
@@ -525,5 +520,4 @@ def read_trace(path):
         ),
         noise=_field(path, h, "noise", _array_from_json, optional=True),
         sigma=_field(path, h, "sigma", _READERS[float], optional=True),
-        iterations_run=_field(path, h, "iterations_run", _INT),
     )

@@ -306,7 +306,6 @@ class TestDiagnose:
             ("coefficients", lambda h, r: r.pop("coefficients")),
             ("x_true.support", lambda h, r: h["x_true"].pop("support")),
             ("k", lambda h, r: h.update(k="2")),
-            ("iterations_run", lambda h, r: h.update(iterations_run=True)),
             ("pruned_support", lambda h, r: r.update(pruned_support="0,1")),
             ("residual_norm", lambda h, r: r.update(residual_norm=[1.0])),
             ("estimate_values", lambda h, r: r.update(estimate_values=None)),
@@ -331,6 +330,25 @@ class TestDiagnose:
         assert code == 2 and stdout == ""
         assert stderr.startswith(f"error[ValueError]: {path}: ")
         assert repr(field) in stderr
+
+    @pytest.mark.parametrize(
+        "number, edit, message",
+        [
+            (1, lambda line: line[:40], "is not JSON"),
+            (4, lambda line: line[:40], "is not JSON"),
+            (4, lambda line: "[1, 2]", "is not an iteration record"),
+        ],
+    )
+    def test_bad_line_exits_2_naming_the_line(self, tmp_path, capsys, number, edit, message):
+        # line numbers count every line of the file, the blank one at line 2 too
+        path = self.make_trace(tmp_path)
+        lines = path.read_text().splitlines()
+        lines.insert(1, "")
+        lines[number - 1] = edit(lines[number - 1])
+        path.write_text("".join(line + "\n" for line in lines))
+        code, stdout, stderr = run_cli(capsys, "diagnose", "--in", str(path), "--delta", "0.9")
+        assert code == 2 and stdout == ""
+        assert stderr.startswith(f"error[ValueError]: {path}: line {number} {message}")
 
     def test_library_budget_applies_by_default(self, tmp_path, capsys):
         # without --delta, sp at k = 3 reads delta_9 of 26 atoms: C(26, 9) = 3,124,550 supports

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sparselab import metrics
 from sparselab.errors import BudgetExceeded
 from sparselab.linalg import SupportSet, normalize_columns
 from sparselab.metrics import (
@@ -233,6 +234,13 @@ class TestWorstCaseNoiseCorrelation:
     def test_k_zero(self):
         D = random_dictionary(4, 7, 13)
         assert worst_case_noise_correlation(D, np.ones(4), 0).value == 0.0
+
+    def test_enumeration_over_budget_raises_before_enumerating(self, monkeypatch):
+        # C(30, 10) = 30,045,015 supports, past ENUMERATION_BUDGET
+        D = random_dictionary(12, 30, 16)
+        monkeypatch.setattr(metrics, "_combination_chunks", lambda *args: pytest.fail("enumeration started"))
+        with pytest.raises(BudgetExceeded, match="C\\(30,10\\) = 30045015 supports exceeds budget 2000000"):
+            worst_case_noise_correlation(D, np.ones(12), 10, use_enumeration=True)
 
     def test_block_scaling_bound(self):
         # the size-pk worst case is at most p times (and in fact sqrt(p)

@@ -1,3 +1,4 @@
+import json
 import math
 from dataclasses import fields
 
@@ -162,12 +163,14 @@ class TestSubspacePursuit:
         y = D.entries @ x.values + 0.4 * np.random.default_rng(18).standard_normal(12)
         cfg = PursuitConfig(k=2, halting=FixedIterations(3))
         res = subspace_pursuit(D, y, cfg)
+        before = SupportSet(())
         for rec in res.trace:
             merged = set(rec.merged_support)
-            assert set(rec.support_before).issubset(merged)
+            assert set(before).issubset(merged)
             assert set(rec.delta_support).issubset(merged)
             assert len(rec.merged_support) <= 2 * 2
             assert set(rec.pruned_support).issubset(merged)
+            before = rec.pruned_support
 
 
 class TestDimensionGuards:
@@ -316,8 +319,6 @@ class TestTraceRoundTrip:
         assert bundle.sigma == 0.3
         assert len(bundle.records) == len(res.trace)
         for got, want in zip(bundle.records, res.trace):
-            assert got.iteration == want.iteration
-            assert got.support_before == want.support_before
             assert got.delta_support == want.delta_support
             assert got.merged_support == want.merged_support
             assert got.pruned_support == want.pruned_support
@@ -398,8 +399,6 @@ class TestTraceRoundTrip:
         x = SparseSignal(np.array([-0.0, third, 0.0, tiny]), SupportSet((1, 3)), 2)
         noise = np.array([0.1 + 0.2, -0.0])
         record = IterationRecord(
-            iteration=1,
-            support_before=SupportSet(()),
             delta_support=SupportSet((1, 3)),
             merged_support=SupportSet((1, 3)),
             pruned_support=SupportSet((1, 3)),
@@ -409,7 +408,7 @@ class TestTraceRoundTrip:
             estimate_error=third,
         )
         estimate = SparseSignal(np.array([0.0, -0.0, 0.0, tiny]), SupportSet((1, 3)), 2)
-        res = PursuitResult(estimate=estimate, iterations_run=1, trace=(record,), algorithm=Algorithm.SP)
+        res = PursuitResult(estimate=estimate, trace=(record,), algorithm=Algorithm.SP)
         path = tmp_path / "exact.jsonl"
         write_trace(path, res, D, x_true=x, noise=noise, sigma=third)
         bundle = read_trace(path)
@@ -433,6 +432,34 @@ class TestTraceRoundTrip:
         path = tmp_path / "trace.jsonl"
         write_trace(path, res, D, x_true=x, noise=e, sigma=0.3)
         assert path.stat().st_size <= 4 * math.ceil(8 * m * n / 3) + 8192
+
+    @pytest.mark.parametrize("tampered", [False, True])
+    @pytest.mark.parametrize("name", ["sp", "cosamp", "iht"])
+    def test_stored_iteration_fields_are_ignored(self, tmp_path, name, tampered):
+        # older traces store each record's iteration and prior support and the
+        # header's iterations_run; the line order alone must decide all three
+        D = random_dictionary(12, 20, 55)
+        x = generate_signal(20, 2, 56)
+        e = 0.3 * np.random.default_rng(57).standard_normal(12)
+        res = SOLVERS[name](D, D.entries @ x.values + e, PursuitConfig(k=2, halting=FixedIterations(3)), x_true=x)
+        path = tmp_path / "trace.jsonl"
+        write_trace(path, res, D, x_true=x, noise=e, sigma=0.3)
+        header, *records = (json.loads(line) for line in path.read_text().splitlines())
+        if tampered:
+            header["iterations_run"], numbers, supports = 99, (1, 7, 3), ([], [0, 1], [5])
+        else:
+            header["iterations_run"], numbers = 3, (1, 2, 3)
+            supports = [[], *(r["pruned_support"] for r in records[:-1])]
+        for record, number, support in zip(records, numbers, supports, strict=True):
+            record.update(iteration=number, support_before=support)
+        old = tmp_path / "old.jsonl"
+        old.write_text("".join(json.dumps(obj) + "\n" for obj in (header, *records)))
+        got, want = read_trace(old), read_trace(path)
+        assert got.iterations_run == want.iterations_run == 3
+        checks, clean = (recurrence_diagnostics(b.records, x, e, D, name, delta=0.1).checks for b in (got, want))
+        assert checks == clean
+        per_iteration = len(checks) // 3
+        assert [c.iteration for c in checks] == [i for i in (1, 2, 3) for _ in range(per_iteration)]
 
     def test_oracle_result_has_no_trace_to_write(self, tmp_path):
         D = random_dictionary(10, 18, 42)
@@ -509,13 +536,15 @@ class TestRecurrenceDiagnostics:
             def miss(support):
                 return float(np.linalg.norm(x.values[sorted(T - set(support))]))
 
+            before = ()
             for r in res.trace:
-                prev, merged, pruned = miss(r.support_before), miss(r.merged_support), miss(r.pruned_support)
+                prev, merged, pruned = miss(before), miss(r.merged_support), miss(r.pruned_support)
                 expected += [
                     2 * d / (1 - d) ** 2 * prev + 2 / (1 - d) ** 2 * nc,
                     (1 + d) / (1 - d) * merged + 4 / (1 - d) * nc,
                     rho * prev + tau * nc,
                 ]
+                before = r.pruned_support
         else:
             prev = np.zeros(12)
             for r in res.trace:
