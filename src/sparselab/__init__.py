@@ -61,15 +61,29 @@ from .pursuit import (
     subspace_pursuit,
     write_trace,
 )
-from .experiment import (
-    ExperimentConfig,
-    TrialRecord,
-    generate_dictionary,
-    generate_signal,
-    parse_config,
-    run_experiment,
-    run_trial,
-    trial_seed,
+
+# experiment loads multiprocessing and hashlib; it is imported on first use,
+# so a command that never sweeps (diagnose, rip, bounds) does not pay for it
+_EXPERIMENT_NAMES = (
+    "ExperimentConfig",
+    "TrialRecord",
+    "generate_dictionary",
+    "generate_signal",
+    "parse_config",
+    "run_experiment",
+    "run_trial",
+    "trial_seed",
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+
+def __getattr__(name):
+    # looked up on every access, never stored here, so a rebinding in
+    # experiment (a tracer's wrapper, say) is what the package hands out
+    if name in _EXPERIMENT_NAMES:
+        from . import experiment
+
+        return getattr(experiment, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+__all__ = sorted({name for name in dir() if not name.startswith("_")} | {"experiment", *_EXPERIMENT_NAMES})

@@ -9,6 +9,9 @@ Subcommands:
 
 Errors print one line to stderr in the form `error[Category]: message` and
 exit nonzero, so callers can branch on the category without parsing prose.
+
+The sweep layer (and multiprocessing under it) is imported only by gen-dict
+and run, so diagnose, rip and bounds start without it.
 """
 
 import argparse
@@ -19,13 +22,14 @@ import sys
 
 from . import guarantees
 from .errors import ConfigError, SparseLabError
-from .experiment import emit_results, emit_trials, generate_dictionary, parse_config, run_experiment
 from .linalg import export_dictionary_csv, import_dictionary_csv
 from .metrics import ENUMERATION_BUDGET, rip_exact, rip_monte_carlo
 from .pursuit import read_trace, recurrence_diagnostics
 
 
 def _cmd_gen_dict(args):
+    from .experiment import generate_dictionary
+
     D = generate_dictionary(args.m, args.n, args.seed)
     export_dictionary_csv(D, args.out)
     print(f"wrote {args.m}x{args.n} dictionary to {args.out}")
@@ -33,6 +37,8 @@ def _cmd_gen_dict(args):
 
 
 def _cmd_run(args):
+    from .experiment import emit_results, emit_trials, parse_config, run_experiment
+
     cfg = parse_config(args.config)
     if args.workers is not None:
         cfg = dataclasses.replace(cfg, workers=args.workers)

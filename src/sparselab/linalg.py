@@ -4,6 +4,12 @@ Dictionaries with unit-norm columns, index supports, restricted least
 squares and top-k magnitude selection. All operations are pure functions;
 the types are immutable after construction and safe to share across
 parallel workers.
+
+A dictionary stores its entries column-major (Fortran order), so each atom
+is one contiguous run of m floats and gathering the atoms of a support
+copies |T| contiguous blocks instead of striding across every row. A
+support holds its indices both as a tuple, the type compared, hashed and
+written to traces, and as a read-only int64 array, the form that indexes.
 """
 
 from dataclasses import dataclass, field
@@ -15,11 +21,18 @@ from .errors import NonFinite, RankDeficient, ZeroColumn
 NORMALIZATION_RTOL = 1e-10
 RANK_RCOND = 1e-12
 ZERO_COLUMN_TOL = 1e-14
+# rows per block when copying into column-major order: a whole-matrix
+# transposing copy strides through memory, a block of rows stays in cache
+_COPY_ROWS = 32
 
 
 @dataclass(frozen=True)
 class Dictionary:
-    """An m x N measurement matrix with unit-norm columns."""
+    """An m x N measurement matrix with unit-norm columns.
+
+    `entries` is a read-only, column-major (F-contiguous) copy of the matrix
+    given, whatever the layout of that matrix.
+    """
 
     entries: np.ndarray
 
@@ -39,9 +52,11 @@ class Dictionary:
                 f"column {bad[0]} has norm {norms[bad[0]]!r}; "
                 "construct via normalize_columns"
             )
-        entries = entries.copy()
-        entries.setflags(write=False)
-        object.__setattr__(self, "entries", entries)
+        atoms = np.empty((m, n), order="F")
+        for i in range(0, m, _COPY_ROWS):
+            atoms[i : i + _COPY_ROWS] = entries[i : i + _COPY_ROWS]
+        atoms.setflags(write=False)
+        object.__setattr__(self, "entries", atoms)
 
     def __reduce__(self):
         # an unpickled ndarray is writable; rebuilding through __init__ keeps
@@ -71,12 +86,23 @@ class SupportSet:
     indices: tuple = field(default=())
 
     def __post_init__(self):
-        idx = tuple(int(i) for i in self.indices)
-        if any(b <= a for a, b in zip(idx, idx[1:])):
+        try:
+            idx = np.array(self.indices, dtype=np.int64)
+        except OverflowError:
+            raise ValueError("support indices must fit in int64") from None
+        if idx.ndim != 1:
+            raise ValueError("support indices must be a flat sequence")
+        if (idx[1:] <= idx[:-1]).any():
             raise ValueError("support indices must be strictly increasing")
-        if idx and idx[0] < 0:
+        if idx.size and idx[0] < 0:
             raise ValueError("support indices must be nonnegative")
-        object.__setattr__(self, "indices", idx)
+        idx.setflags(write=False)
+        object.__setattr__(self, "indices", tuple(idx.tolist()))
+        object.__setattr__(self, "_array", idx)
+
+    def __reduce__(self):
+        # rebuild through __init__, so an unpickled support's array is read-only too
+        return (SupportSet, (self.indices,))
 
     @property
     def cardinality(self):
@@ -89,8 +115,11 @@ class SupportSet:
         return iter(self.indices)
 
     def as_array(self):
-        return np.asarray(self.indices, dtype=np.int64)
+        """The indices as a read-only int64 array."""
+        return self._array
 
+    # Python sets, not np.union1d: at a support's size they are faster,
+    # and np.union1d's first call imports numpy.ma (about 1.6 MB resident)
     def union(self, other):
         return SupportSet(sorted(set(self.indices) | set(other.indices)))
 
@@ -175,14 +204,31 @@ def least_squares_on_support(D, T, y):
 def top_k_support(v, k):
     """Indices of the k largest-magnitude entries of v.
 
-    Ties are broken toward the lower index so results are deterministic.
+    Ties are broken toward the lower index, and NaN ranks below every
+    number, so the result is np.sort(np.argsort(-np.abs(v), kind="stable")[:k])
+    for every input. A partition finds the k-th key in O(N); only keys tied
+    at that k-th key need a second pass.
     """
     v = np.asarray(v)
     if not 0 <= k <= v.size:
         raise ValueError(f"need 0 <= k <= {v.size}, got {k}")
-    # stable sort on -|v| keeps the earlier index first among equal magnitudes
-    order = np.argsort(-np.abs(v), kind="stable")
-    return SupportSet(np.sort(order[:k]))
+    if k == 0:
+        return SupportSet(())
+    key = -np.abs(v)
+    # partition orders keys as sort does, NaN last
+    edge = np.partition(key, k - 1)[k - 1]
+    chosen = np.flatnonzero(key <= edge)
+    if chosen.size != k:
+        # keys tied at the edge (or a NaN edge) straddle the cut: keep every
+        # key before the edge, then the tied ones from the lowest index up
+        if np.isnan(edge):
+            tied = np.isnan(key)
+            below = ~tied
+        else:
+            below, tied = key < edge, key == edge
+        below[np.flatnonzero(tied)[: k - np.count_nonzero(below)]] = True
+        chosen = np.flatnonzero(below)
+    return SupportSet(chosen)
 
 
 def export_dictionary_csv(D, path):

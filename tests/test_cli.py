@@ -246,6 +246,55 @@ def test_readme_quickstart_runs(tmp_path):
     assert done.returncode == 0, done.stderr
 
 
+def _fresh_python(code):
+    root = pathlib.Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+class TestLazyImport:
+    """The sweep layer loads only when a sweep needs it; the package still exports it."""
+
+    def test_cli_import_leaves_the_sweep_layer_unloaded(self):
+        out = _fresh_python(
+            "import sys, sparselab.cli\n"
+            "print(sorted(m for m in ('sparselab.experiment', 'multiprocessing') if m in sys.modules))"
+        )
+        assert out.strip() == "[]"
+
+    def test_package_still_exports_the_sweep_layer(self):
+        out = _fresh_python(
+            "import sparselab\n"
+            "from sparselab import run_experiment, ExperimentConfig\n"
+            "import sparselab.experiment as ex\n"
+            "assert run_experiment is ex.run_experiment and ExperimentConfig is ex.ExperimentConfig\n"
+            "assert {'experiment', 'run_experiment', 'trial_seed', 'subspace_pursuit'} <= set(sparselab.__all__)\n"
+            "assert all(hasattr(sparselab, name) for name in sparselab.__all__)\n"
+            "ns = {}\n"
+            "exec('from sparselab import *', ns)\n"
+            "assert ns['run_trial'] is ex.run_trial\n"
+            "print(len(sparselab.__all__))"
+        )
+        assert int(out) > 0
+
+    def test_package_attribute_follows_a_rebinding(self):
+        # nothing is cached in the package, so a wrapper bound in experiment is what callers get
+        import sparselab
+        import sparselab.experiment as ex
+
+        original = ex.run_trial
+        try:
+            ex.run_trial = marker = lambda *a, **k: None
+            assert sparselab.run_trial is marker
+        finally:
+            ex.run_trial = original
+        assert sparselab.run_trial is original
+        with pytest.raises(AttributeError):
+            sparselab.no_such_name
+
+
 class TestDiagnose:
     def make_trace(self, tmp_path, well_conditioned=False):
         if well_conditioned:
@@ -317,6 +366,8 @@ class TestDiagnose:
             ("x_true.values", lambda h, r: h["x_true"].update(values=base64.b64encode(bytes(12)).decode())),
             ("dictionary", lambda h, r: h.update(dictionary="not base64!")),
             ("dictionary", lambda h, r: h.update(m=11)),
+            # an index past int64 used to read fine, then crash diagnostics with an OverflowError
+            ("pruned_support", lambda h, r: r.update(pruned_support=[0, 2**64])),
         ],
     )
     def test_malformed_trace_exits_2_naming_the_field(self, tmp_path, capsys, field, edit):

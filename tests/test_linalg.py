@@ -1,4 +1,5 @@
 import pickle
+import types
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from sparselab.linalg import (
     normalize_columns,
     top_k_support,
 )
+from sparselab.pursuit import FixedIterations, PursuitConfig, read_trace, subspace_pursuit, write_trace
 
 
 def random_dictionary(m, n, seed):
@@ -83,6 +85,75 @@ class TestDictionary:
         assert np.allclose(np.diag(G), 1.0, atol=1e-12)
 
 
+def _column_major_and_read_only(D):
+    return D.entries.flags.f_contiguous and not D.entries.flags.writeable
+
+
+class TestLayout:
+    """Entries are stored column-major whatever path built the dictionary; values and trace bytes do not change."""
+
+    @staticmethod
+    def _traced_run():
+        D = random_dictionary(12, 20, 25)
+        y = np.random.default_rng(26).standard_normal(12)
+        return D, subspace_pursuit(D, y, PursuitConfig(k=2, halting=FixedIterations(3)))
+
+    def test_every_constructor_path_stores_column_major_read_only(self, tmp_path):
+        A = np.random.default_rng(21).standard_normal((7, 11))
+        D = normalize_columns(A)
+        assert _column_major_and_read_only(D)
+        # from a row-major and from a column-major matrix
+        for source in (np.ascontiguousarray(D.entries), np.asfortranarray(D.entries)):
+            built = Dictionary(source)
+            assert _column_major_and_read_only(built)
+            assert np.array_equal(built.entries, D.entries)
+        assert _column_major_and_read_only(pickle.loads(pickle.dumps(D)))
+        path = tmp_path / "d.csv"
+        export_dictionary_csv(D, path)
+        assert _column_major_and_read_only(import_dictionary_csv(path))
+
+    def test_trace_round_trip_stores_column_major(self, tmp_path):
+        D, res = self._traced_run()
+        path = tmp_path / "t.jsonl"
+        write_trace(path, res, D)
+        back = read_trace(path).dictionary
+        assert _column_major_and_read_only(back)
+        assert back.entries.tobytes(order="A") == D.entries.tobytes(order="A")
+
+    def test_copy_is_exact_across_row_blocks(self):
+        # more rows than one copy block, and a partial last block
+        A = np.random.default_rng(22).standard_normal((77, 90))
+        D = normalize_columns(A)
+        assert np.array_equal(D.entries, A / np.linalg.norm(A, axis=0))
+
+    def test_input_is_copied_not_aliased(self):
+        D = random_dictionary(5, 8, 23)
+        source = D.entries.copy(order="F")
+        built = Dictionary(source)
+        source[0, 0] = 9.0
+        assert built.entries[0, 0] == D.entries[0, 0]
+
+    def test_columns_are_bit_equal_to_the_row_major_gather(self):
+        D = random_dictionary(9, 31, 24)
+        row_major = np.ascontiguousarray(D.entries)
+        for T in (SupportSet(()), SupportSet((0,)), SupportSet((2, 3, 17, 30)), SupportSet(range(31))):
+            got = D.columns(T)
+            assert got.flags.f_contiguous
+            assert got.tobytes(order="C") == row_major[:, T.as_array()].tobytes(order="C")
+            assert got.tobytes(order="C") == D.entries[:, T.as_array()].tobytes(order="C")
+
+    def test_trace_bytes_match_a_row_major_copy(self, tmp_path):
+        # write_trace reads only m, n_atoms and entries, so a stand-in with
+        # row-major entries shows the file does not depend on the layout
+        D, res = self._traced_run()
+        row_major = types.SimpleNamespace(entries=np.ascontiguousarray(D.entries), m=D.m, n_atoms=D.n_atoms)
+        assert row_major.entries.flags.c_contiguous
+        ours, theirs = tmp_path / "f.jsonl", tmp_path / "c.jsonl"
+        write_trace(ours, res, D)
+        write_trace(theirs, res, row_major)
+        assert ours.read_bytes() == theirs.read_bytes()
+
+
 class TestSupportSet:
     def test_duplicates_rejected(self):
         with pytest.raises(ValueError):
@@ -109,6 +180,31 @@ class TestSupportSet:
     def test_roundtrip_through_array(self, idx):
         s = SupportSet(tuple(sorted(idx)))
         assert SupportSet(s.as_array()) == s
+
+    def test_indices_are_python_ints_and_array_is_read_only(self):
+        s = SupportSet(np.array([2, 5, 9], dtype=np.int32))
+        assert s.indices == (2, 5, 9) and all(type(i) is int for i in s.indices)
+        a = s.as_array()
+        assert a.dtype == np.int64 and a.tolist() == [2, 5, 9]
+        with pytest.raises(ValueError):
+            a[0] = 1
+
+    def test_caller_array_is_not_aliased(self):
+        source = np.array([1, 4, 6])
+        s = SupportSet(source)
+        source[0] = 3
+        assert s.indices == (1, 4, 6) and s.as_array()[0] == 1
+        assert source.flags.writeable
+
+    def test_pickle_keeps_array_read_only(self):
+        s = pickle.loads(pickle.dumps(SupportSet((3, 8))))
+        assert s == SupportSet((3, 8))
+        assert not s.as_array().flags.writeable
+
+    @pytest.mark.parametrize("bad", [(-1, 2), ((1, 2), (3, 4)), (2**64,)])
+    def test_malformed_indices_rejected(self, bad):
+        with pytest.raises(ValueError):
+            SupportSet(bad)
 
 
 class TestSparseSignal:
@@ -179,6 +275,76 @@ class TestTopK:
         v = np.arange(4.0)
         assert top_k_support(v, 0).indices == ()
         assert top_k_support(v, 4).indices == (0, 1, 2, 3)
+
+
+def stable_argsort_rule(v, k):
+    """Brute-force oracle: a stable sort of -|v| (NaN last), first k, in index order."""
+    return tuple(np.sort(np.argsort(-np.abs(np.asarray(v)), kind="stable")[:k]).tolist())
+
+
+def _every_k(v):
+    return [(k, top_k_support(v, k).indices, stable_argsort_rule(v, k)) for k in range(len(v) + 1)]
+
+
+class TestTopKOracle:
+    """top_k_support partitions instead of sorting; it must agree with the stable-argsort rule on every input."""
+
+    NAN = float("nan")
+    CASES = {
+        "tie_straddles_boundary": [3.0, 1.0, -2.0, 2.0, 0.5, 2.0, -2.0],
+        "tie_inside_and_at_boundary": [5.0, -5.0, 1.0, 5.0, 1.0, -1.0],
+        "all_equal": [0.7] * 9,
+        "all_equal_signs_differ": [-1.0, 1.0, -1.0, 1.0, 1.0],
+        "signed_zeros": [0.0, -0.0, 0.0, -0.0, 0.0, 1e-300, -0.0],
+        "all_zeros": [-0.0, 0.0, -0.0, 0.0],
+        "nan_below_every_number": [NAN, 1.0, NAN, -3.0, 0.0],
+        "nan_at_the_boundary": [1.0, NAN, 2.0, NAN, NAN, 0.5],
+        "all_nan": [NAN, NAN, NAN, NAN],
+        "nan_and_ties": [NAN, 2.0, -2.0, NAN, 2.0, 0.0, -0.0],
+        "infinities": [np.inf, -1.0, -np.inf, NAN, np.inf, 0.0],
+        "single": [4.0],
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_every_k_matches_the_rule(self, name):
+        v = np.array(self.CASES[name])
+        for k, got, want in _every_k(v):
+            assert got == want, (k, got, want)
+            assert len(got) == k
+
+    def test_named_boundary_answers(self):
+        # the rule spelled out: ties go to the lower index, NaN only once numbers run out
+        assert top_k_support(np.array(self.CASES["tie_straddles_boundary"]), 3).indices == (0, 2, 3)
+        assert top_k_support(np.array(self.CASES["all_equal"]), 4).indices == (0, 1, 2, 3)
+        assert top_k_support(np.array(self.CASES["nan_at_the_boundary"]), 4).indices == (0, 1, 2, 5)
+        assert top_k_support(np.array(self.CASES["all_nan"]), 2).indices == (0, 1)
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 64, 1024])
+    def test_k_at_the_extremes(self, n):
+        v = np.random.default_rng(n).standard_normal(n).round(1)
+        for k in sorted({0, 1, n - 1, n}):
+            assert top_k_support(v, k).indices == stable_argsort_rule(v, k)
+
+    @given(
+        st.lists(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, -2.5, float("nan"), float("inf"), 1e-3]), min_size=1, max_size=24)
+    )
+    @settings(deadline=None, max_examples=300)
+    def test_few_distinct_values_match_the_rule(self, values):
+        # a small pool of values makes ties, zeros and NaNs collide at the boundary
+        for k, got, want in _every_k(np.array(values)):
+            assert got == want, (k, got, want)
+
+    @given(st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=1, max_size=40), st.data())
+    @settings(deadline=None, max_examples=200)
+    def test_any_floats_match_the_rule(self, values, data):
+        v = np.array(values)
+        k = data.draw(st.integers(min_value=0, max_value=v.size))
+        assert top_k_support(v, k).indices == stable_argsort_rule(v, k)
+
+    def test_integer_input_matches_the_rule(self):
+        v = np.array([3, -7, 7, 0, -3, 2])
+        for k, got, want in _every_k(v):
+            assert got == want
 
 
 class TestCsvRoundTrip:
