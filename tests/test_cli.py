@@ -237,21 +237,21 @@ def test_readme_command_line_block_parses():
     assert shown == set(subcommands.choices)
 
 
-def test_readme_quickstart_runs(tmp_path):
-    # README's python block is run as written, so a deleted or renamed name it uses fails here
-    root = pathlib.Path(__file__).resolve().parents[1]
-    block = (root / "README.md").read_text().split("```python\n", 1)[1].split("```", 1)[0]
-    env = {**os.environ, "PYTHONPATH": str(root / "src")}
-    done = subprocess.run([sys.executable, "-c", block], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
-def _fresh_python(code):
-    root = pathlib.Path(__file__).resolve().parents[1]
-    env = {**os.environ, "PYTHONPATH": str(root / "src")}
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+def _fresh_python(code, cwd=None):
+    """Run `code` in a new interpreter on this checkout's src/; its stdout."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     return done.stdout
+
+
+def test_readme_quickstart_runs(tmp_path):
+    # README's python block is run as written, so a deleted or renamed name it uses fails here
+    block = (ROOT / "README.md").read_text().split("```python\n", 1)[1].split("```", 1)[0]
+    _fresh_python(block, cwd=tmp_path)
 
 
 class TestLazyImport:
