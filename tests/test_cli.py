@@ -366,13 +366,20 @@ class TestDiagnose:
             ("x_true.values", lambda h, r: h["x_true"].update(values=base64.b64encode(bytes(12)).decode())),
             ("dictionary", lambda h, r: h.update(dictionary="not base64!")),
             ("dictionary", lambda h, r: h.update(m=11)),
-            # an index past int64 used to read fine, then crash diagnostics with an OverflowError
-            ("pruned_support", lambda h, r: r.update(pruned_support=[0, 2**64])),
         ],
     )
     def test_malformed_trace_exits_2_naming_the_field(self, tmp_path, capsys, field, edit):
         # a missing key or a wrong type used to escape read_trace as a KeyError or
         # TypeError traceback with exit 1, the code for "conditions met and a check fails"
+        self.assert_rejected_naming(tmp_path, capsys, field, edit)
+
+    def test_index_past_int64_exits_2_naming_the_field(self, tmp_path, capsys):
+        # an index past int64 used to read fine, then crash diagnostics with an OverflowError
+        self.assert_rejected_naming(
+            tmp_path, capsys, "pruned_support", lambda h, r: r.update(pruned_support=[0, 2**64])
+        )
+
+    def assert_rejected_naming(self, tmp_path, capsys, field, edit):
         path = self.make_trace(tmp_path)
         header, record, *rest = (json.loads(line) for line in path.read_text().splitlines())
         edit(header, record)
