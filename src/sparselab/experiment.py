@@ -7,7 +7,13 @@ squared errors against the theoretical bounds and the oracle estimator.
 Reproducibility contract: every trial derives its own generator from a
 cryptographic digest of (root seed, k, sigma, trial index), so any single
 trial can be re-run in isolation and results are byte-identical regardless
-of how trials are scheduled across workers.
+of how trials are scheduled across workers. Re-running trial i of a sweep
+is run_trial(D, k, sigma, algorithms, trial_seed(seed, k, sigma, i)) on
+generate_dictionary(m, n_atoms, dictionary_seed(seed)).
+
+Trials solve on the dictionary's Gram-carrying form (Dictionary.with_gram):
+many trials share one dictionary, so its Gram matrix is built once and each
+residual correlation reads |T| of its rows instead of the whole dictionary.
 """
 
 import hashlib
@@ -218,8 +224,10 @@ def run_trial(D, k, sigma, algorithms, seed, halting="practical"):
     trial_index None: run_experiment numbers the trials of each (k, sigma)
     point 0..trials_per_point-1. A solver failure (a SparseLabError, or a
     LinAlgError from numpy) is recorded as the error category on that
-    record rather than aborting the sweep.
+    record rather than aborting the sweep. The solvers run on D.with_gram(),
+    which is built on the first call for D and reused after.
     """
+    D = D.with_gram()
     rng = np.random.default_rng(seed)
     x_values, true_support = _spikes_from_rng(rng, D.n_atoms, k)
     e = sigma * rng.standard_normal(D.m)
@@ -263,8 +271,10 @@ _WORKER_CTX = {}
 
 
 def _worker_init(D, cfg):
-    # the sweep's own matrix, bit for bit: the sampled delta describes the same one
-    _WORKER_CTX["D"] = D
+    # the sweep's own matrix, bit for bit: the sampled delta describes the same
+    # one. A pickled dictionary arrives without its Gram, so each worker builds
+    # it here, before its first trial is timed.
+    _WORKER_CTX["D"] = D.with_gram()
     _WORKER_CTX["cfg"] = cfg
 
 
@@ -341,7 +351,11 @@ def run_experiment(cfg):
     tasks = [(t, k, sigma) for k, sigma in points for t in range(cfg.trials_per_point)]
     if cfg.workers == 1:
         _worker_init(D, cfg)
-        per_trial = list(map(_worker_run, tasks))
+        try:
+            per_trial = list(map(_worker_run, tasks))
+        finally:
+            # free the dictionary and its Gram with the sweep
+            _WORKER_CTX.clear()
     else:
         with multiprocessing.Pool(
             processes=cfg.workers, initializer=_worker_init, initargs=(D, cfg)

@@ -10,6 +10,11 @@ is one contiguous run of m floats and gathering the atoms of a support
 copies |T| contiguous blocks instead of striding across every row. A
 support holds its indices both as a tuple, the type compared, hashed and
 written to traces, and as a read-only int64 array, the form that indexes.
+
+A dictionary can also carry its Gram matrix G = D^T D (with_gram). Solvers
+then correlate a residual y - D_T c with every atom as z - c G_T, z = D^T y,
+reading |T| rows of G instead of all m N entries. That pays only when many
+solves share one dictionary, as a sweep's trials do.
 """
 
 from dataclasses import dataclass, field
@@ -21,9 +26,21 @@ from .errors import NonFinite, RankDeficient, ZeroColumn
 NORMALIZATION_RTOL = 1e-10
 RANK_RCOND = 1e-12
 ZERO_COLUMN_TOL = 1e-14
-# rows per block when copying into column-major order: a whole-matrix
-# transposing copy strides through memory, a block of rows stays in cache
-_COPY_ROWS = 32
+_INT64_MAX = np.iinfo(np.int64).max
+# rows per block when copying into column-major order (columns per block into
+# row-major): a whole-matrix transposing copy strides through memory, a block
+# stays in cache
+_COPY_BLOCK = 32
+
+
+def _copy_in_blocks(a, order="F"):
+    """A copy of the 2-d array `a` in `order`, "F" (column-major) or "C" (row-major)."""
+    if order == "C":
+        return _copy_in_blocks(a.T).T
+    out = np.empty(a.shape, order="F")
+    for i in range(0, a.shape[0], _COPY_BLOCK):
+        out[i : i + _COPY_BLOCK] = a[i : i + _COPY_BLOCK]
+    return out
 
 
 @dataclass(frozen=True)
@@ -31,7 +48,8 @@ class Dictionary:
     """An m x N measurement matrix with unit-norm columns.
 
     `entries` is a read-only, column-major (F-contiguous) copy of the matrix
-    given, whatever the layout of that matrix.
+    given, whatever the layout of that matrix. A dictionary built here
+    carries no Gram matrix; with_gram gives one that does.
     """
 
     entries: np.ndarray
@@ -52,15 +70,16 @@ class Dictionary:
                 f"column {bad[0]} has norm {norms[bad[0]]!r}; "
                 "construct via normalize_columns"
             )
-        atoms = np.empty((m, n), order="F")
-        for i in range(0, m, _COPY_ROWS):
-            atoms[i : i + _COPY_ROWS] = entries[i : i + _COPY_ROWS]
+        atoms = _copy_in_blocks(entries)
         atoms.setflags(write=False)
         object.__setattr__(self, "entries", atoms)
+        object.__setattr__(self, "_gram", None)
+        object.__setattr__(self, "_gram_form", None)
 
     def __reduce__(self):
         # an unpickled ndarray is writable; rebuilding through __init__ keeps
-        # the copy a pool worker receives read-only
+        # the copy a pool worker receives read-only. The Gram is not sent: a
+        # worker that wants one builds it with with_gram.
         return (Dictionary, (self.entries,))
 
     @property
@@ -78,6 +97,36 @@ class Dictionary:
     def gram(self):
         return self.entries.T @ self.entries
 
+    def with_gram(self):
+        """This dictionary carrying its Gram matrix, read-only and built on the first call only.
+
+        The result has the same entries and is returned again by every later
+        call (on it, it returns itself); only residual_correlation reads G.
+        """
+        if self._gram is not None:
+            return self
+        if self._gram_form is None:
+            gram = self.gram()
+            gram.setflags(write=False)
+            form = object.__new__(Dictionary)
+            object.__setattr__(form, "entries", self.entries)
+            object.__setattr__(form, "_gram", gram)
+            object.__setattr__(form, "_gram_form", None)
+            object.__setattr__(self, "_gram_form", form)
+        return self._gram_form
+
+    def residual_correlation(self, z, support, coef, residual):
+        """D^T residual for residual = y - D_T coef, given z = D^T y.
+
+        With a Gram this is z - coef G_T, from the |T| rows of G on the
+        support (G is symmetric, and its rows are contiguous), which agrees
+        with the product below up to rounding; without one it is
+        entries.T @ residual.
+        """
+        if self._gram is None:
+            return self.entries.T @ residual
+        return z - coef @ self._gram[support.as_array()]
+
 
 @dataclass(frozen=True, order=True)
 class SupportSet:
@@ -86,10 +135,13 @@ class SupportSet:
     indices: tuple = field(default=())
 
     def __post_init__(self):
-        try:
-            idx = np.array(self.indices, dtype=np.int64)
-        except OverflowError:
-            raise ValueError("support indices must fit in int64") from None
+        idx = np.asarray(self.indices)
+        # a float would truncate to another index; numpy holds an int past
+        # int64 as uint64 or as an object
+        kind = idx.dtype.kind
+        if idx.size and (kind not in "iu" or (kind == "u" and idx.max() > _INT64_MAX)):
+            raise ValueError(f"support indices must be integers that fit in int64, got {idx.dtype} values")
+        idx = idx.astype(np.int64)
         if idx.ndim != 1:
             raise ValueError("support indices must be a flat sequence")
         if (idx[1:] <= idx[:-1]).any():

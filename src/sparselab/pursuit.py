@@ -15,6 +15,11 @@ One loop runs all three, driven by a per-solver table of those choices.
 The asymmetry between the SP and CoSaMP final steps is deliberate.
 recurrence_diagnostics replays a trace against the per-iteration error
 inequalities that drive each solver's accuracy guarantee.
+
+On a dictionary that carries its Gram matrix (Dictionary.with_gram) every
+correlation after the first is taken from G, so the results can differ from
+the plain dictionary's in the last bits: IHT's values, and in principle the
+atoms picked at a tie.
 """
 
 import base64
@@ -32,6 +37,7 @@ from .linalg import (
     Dictionary,
     SparseSignal,
     SupportSet,
+    _copy_in_blocks,
     least_squares_on_support,
     top_k_support,
 )
@@ -162,12 +168,15 @@ def _pursue(algorithm, D, y, cfg, x_true):
     n = D.n_atoms
     support = SupportSet(())
     values = np.zeros(0)
-    y_r = y
+    # D^T y is also the first iteration's correlation, with the residual y
+    z = corr = D.entries.T @ y
     trace = []
     for ell in range(1, n_iters + 1):
+        if ell > 1:
+            corr = D.residual_correlation(z, support, values, y_r)
         if grow is None:
             x_p = _dense(n, support, values)
-            x_p += D.entries.T @ y_r
+            x_p += corr
             pruned = top_k_support(x_p, cfg.k)
             delta_support = merged = None
             coefficients = values = x_p[pruned.as_array()]
@@ -176,7 +185,7 @@ def _pursue(algorithm, D, y, cfg, x_true):
                     f"iterate norm exceeded {DIVERGENCE_FACTOR:g} * ||y|| at iteration {ell}"
                 )
         else:
-            delta_support = top_k_support(D.entries.T @ y_r, grow * cfg.k)
+            delta_support = top_k_support(corr, grow * cfg.k)
             merged = support.union(delta_support)
             coefficients = least_squares_on_support(D, merged, y)
             pruned, kept_positions = _prune(merged, coefficients, cfg.k)
@@ -374,8 +383,11 @@ def _to_json(value):
 
 
 def _array_to_json(a):
-    """A float array as base64 of its little-endian float64 bytes: exact, and far faster than a list of floats."""
-    return base64.b64encode(np.ascontiguousarray(a, dtype="<f8").tobytes()).decode("ascii")
+    """A float array as base64 of its little-endian float64 bytes, row-major: exact, and far faster than a list of floats."""
+    a = np.asarray(a, dtype="<f8")
+    if a.ndim == 2 and not a.flags.c_contiguous:
+        a = _copy_in_blocks(a, "C")
+    return base64.b64encode(a.tobytes()).decode("ascii")
 
 
 def _array_from_json(value):

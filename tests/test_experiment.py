@@ -23,6 +23,7 @@ from sparselab.experiment import (
     trial_seed,
 )
 from sparselab import guarantees
+from sparselab.linalg import Dictionary
 from sparselab.metrics import mutual_coherence, rip_monte_carlo
 from sparselab.pursuit import MAX_ITERATIONS, Algorithm
 
@@ -387,6 +388,15 @@ class TestRunTrial:
         b = run_trial(D, 3, 1.0, (Algorithm.SP,), seed=55, halting="fixed:4")
         assert a[0].squared_error == b[0].squared_error
 
+    def test_gram_built_once_per_dictionary(self, monkeypatch):
+        built = []
+        gram = Dictionary.gram
+        monkeypatch.setattr(Dictionary, "gram", lambda self: built.append(1) or gram(self))
+        D = generate_dictionary(32, 64, 2)
+        for seed in range(3):
+            run_trial(D, 3, 1.0, (Algorithm.SP, Algorithm.IHT), seed=seed, halting="fixed:4")
+        assert len(built) == 1
+
 
 class TestRunExperiment:
     def test_row_grid_and_columns(self):
@@ -412,6 +422,28 @@ class TestRunExperiment:
         rows2, recs2 = run_experiment(replace(cfg, workers=2))
         assert rows1 == rows2
         assert recs1 == recs2
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_run_trial_reproduces_every_sweep_record(self, workers):
+        # the module docstring's contract, bit for bit: IHT's values depend on
+        # the correlation's rounding, so run_trial must take it as trials do
+        cfg = small_config(k_values=(2, 3), sigma_values=(0.5, 1.0), trials_per_point=4, workers=workers)
+        _, records = run_experiment(cfg)
+        D = generate_dictionary(cfg.m, cfg.n_atoms, dictionary_seed(cfg.seed))
+        rerun = [
+            replace(r, trial_index=t)
+            for k in cfg.k_values
+            for sigma in cfg.sigma_values
+            for t in range(cfg.trials_per_point)
+            for r in run_trial(D, k, sigma, cfg.algorithms, trial_seed(cfg.seed, k, sigma, t), halting=cfg.halting)
+        ]
+        assert all(r.error is None for r in records)
+        assert repr(rerun) == repr(records)
+
+    def test_serial_sweep_leaves_no_worker_context(self):
+        # the context held the sweep's dictionary, and now its Gram, until the next sweep
+        run_experiment(small_config(trials_per_point=2))
+        assert experiment._WORKER_CTX == {}
 
     def test_workers_override_is_validated(self):
         # replace re-runs __post_init__, as the CLI's --workers override does

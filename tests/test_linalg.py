@@ -12,6 +12,7 @@ from sparselab.linalg import (
     SupportSet,
     export_dictionary_csv,
     import_dictionary_csv,
+    _copy_in_blocks,
     least_squares_on_support,
     normalize_columns,
     top_k_support,
@@ -85,6 +86,47 @@ class TestDictionary:
         assert np.allclose(np.diag(G), 1.0, atol=1e-12)
 
 
+class TestGram:
+    """A dictionary's Gram-carrying form: built once, read-only, same entries, same correlations up to rounding."""
+
+    def test_with_gram_is_built_once_and_shares_the_entries(self, monkeypatch):
+        D = random_dictionary(6, 10, 31)
+        built = []
+        gram = Dictionary.gram
+        monkeypatch.setattr(Dictionary, "gram", lambda self: built.append(1) or gram(self))
+        G = D.with_gram()
+        assert D.with_gram() is G and G.with_gram() is G
+        assert len(built) == 1
+        assert G.entries is D.entries
+        assert np.array_equal(G._gram, D.entries.T @ D.entries)
+        assert G._gram.flags.c_contiguous and not G._gram.flags.writeable
+
+    def test_plain_dictionary_correlates_through_the_entries(self):
+        D = random_dictionary(8, 14, 32)
+        r = np.random.default_rng(33).standard_normal(8)
+        got = D.residual_correlation(np.full(14, np.nan), SupportSet((2, 5)), np.array([1.0, -2.0]), r)
+        assert got.tobytes() == (D.entries.T @ r).tobytes()
+        assert D._gram is None
+
+    @pytest.mark.parametrize("support", [(), (0,), (1, 4, 9, 13)])
+    def test_gram_correlation_matches_the_dense_product(self, support):
+        D = random_dictionary(8, 14, 34)
+        rng = np.random.default_rng(35)
+        y = rng.standard_normal(8)
+        T = SupportSet(support)
+        c = rng.standard_normal(len(T))
+        r = y - D.columns(T) @ c
+        got = D.with_gram().residual_correlation(D.entries.T @ y, T, c, r)
+        assert np.allclose(got, D.entries.T @ r, rtol=0, atol=1e-13)
+
+    def test_pickle_drops_the_gram(self):
+        # pool workers receive entries only, and build their own Gram
+        G = random_dictionary(5, 9, 36).with_gram()
+        back = pickle.loads(pickle.dumps(G))
+        assert back._gram is None
+        assert back.entries.tobytes() == G.entries.tobytes()
+
+
 def _column_major_and_read_only(D):
     return D.entries.flags.f_contiguous and not D.entries.flags.writeable
 
@@ -125,6 +167,15 @@ class TestLayout:
         A = np.random.default_rng(22).standard_normal((77, 90))
         D = normalize_columns(A)
         assert np.array_equal(D.entries, A / np.linalg.norm(A, axis=0))
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("source_order", ["C", "F"])
+    def test_blocked_copy_is_exact_in_either_order(self, order, source_order):
+        # more rows and columns than one copy block, and a partial last block
+        A = np.asarray(np.random.default_rng(27).standard_normal((77, 90)), order=source_order)
+        out = _copy_in_blocks(A, order)
+        assert out.flags[f"{order}_CONTIGUOUS"]
+        assert np.array_equal(out, A)
 
     def test_input_is_copied_not_aliased(self):
         D = random_dictionary(5, 8, 23)
@@ -205,6 +256,20 @@ class TestSupportSet:
     def test_malformed_indices_rejected(self, bad):
         with pytest.raises(ValueError):
             SupportSet(bad)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [(1.7, 2.2), (1, 2.0), np.array([0.5, 3.9]), np.array([1.0, 2.0]), (2**63,), np.array([True, False])],
+    )
+    def test_non_integer_indices_rejected(self, bad):
+        # floats used to truncate to other indices: (1.7, 2.2) read as (1, 2)
+        with pytest.raises(ValueError, match="integers"):
+            SupportSet(bad)
+
+    @pytest.mark.parametrize("empty", [(), [], np.array([]), np.array([], dtype=np.int32)])
+    def test_empty_support_of_any_dtype_accepted(self, empty):
+        s = SupportSet(empty)
+        assert s.indices == () and s.as_array().dtype == np.int64
 
 
 class TestSparseSignal:

@@ -297,6 +297,57 @@ class TestDeterminism:
         assert a.estimate.support == b.estimate.support
 
 
+# IHT's iterate is x + D^T r, so its values carry the correlation's rounding:
+# through the Gram they may differ from the dense product's by this, relative
+IHT_GRAM_RTOL = 1e-12
+
+
+class TestGramCorrelation:
+    """Oracle: solving on D.with_gram() against the dense correlation D^T r of a plain D."""
+
+    @pytest.mark.parametrize("m, n, k", [(24, 48, 2), (64, 128, 4), (128, 256, 6), (256, 512, 10)])
+    @pytest.mark.parametrize("name", ["sp", "cosamp", "iht"])
+    @pytest.mark.parametrize("halting", [FixedIterations(8), PracticalLogRule(0.3)], ids=["fixed", "practical"])
+    def test_same_supports_and_estimates_as_the_dense_path(self, m, n, k, name, halting):
+        for seed in range(3):
+            D = random_dictionary(m, n, 100 * m + seed)
+            x = generate_signal(n, k, seed)
+            y = D.entries @ x.values + 0.3 * np.random.default_rng(seed).standard_normal(m)
+            cfg = PursuitConfig(k=k, halting=halting)
+            dense = SOLVERS[name](D, y, cfg, x_true=x)
+            gram = SOLVERS[name](D.with_gram(), y, cfg, x_true=x)
+            assert len(dense.trace) == len(gram.trace)
+            for a, b in zip(dense.trace, gram.trace):
+                assert (a.delta_support, a.merged_support, a.pruned_support) == (
+                    b.delta_support,
+                    b.merged_support,
+                    b.pruned_support,
+                )
+                if name == "iht":
+                    scale = np.max(np.abs(a.estimate_values))
+                    assert np.max(np.abs(a.estimate_values - b.estimate_values)) <= IHT_GRAM_RTOL * scale
+                    assert b.residual_norm == pytest.approx(a.residual_norm, rel=IHT_GRAM_RTOL)
+                else:
+                    assert a.coefficients.tobytes() == b.coefficients.tobytes()
+                    assert a.estimate_values.tobytes() == b.estimate_values.tobytes()
+                    assert a.residual_norm == b.residual_norm
+            assert dense.estimate.support == gram.estimate.support
+            if name != "iht":
+                assert dense.estimate.values.tobytes() == gram.estimate.values.tobytes()
+
+    @pytest.mark.parametrize("name", ["sp", "cosamp", "iht"])
+    def test_plain_dictionary_never_builds_a_gram(self, name, monkeypatch):
+        # a single solve pays for no m x N x N product; it correlates through the entries
+        def fail(self):
+            raise AssertionError("Gram built for a plain dictionary")
+
+        monkeypatch.setattr(Dictionary, "gram", fail)
+        D = random_dictionary(20, 40, 36)
+        x = generate_signal(40, 3, 37)
+        res = SOLVERS[name](D, D.entries @ x.values, PursuitConfig(k=3, halting=FixedIterations(4)))
+        assert res.iterations_run == 4 and D._gram_form is None
+
+
 class TestTraceRoundTrip:
     @pytest.mark.parametrize("name", ["sp", "cosamp", "iht"])
     def test_all_fields_survive(self, tmp_path, name):
