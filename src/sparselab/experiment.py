@@ -10,10 +10,6 @@ trial can be re-run in isolation and results are byte-identical regardless
 of how trials are scheduled across workers. Re-running trial i of a sweep
 is run_trial(D, k, sigma, algorithms, trial_seed(seed, k, sigma, i)) on
 generate_dictionary(m, n_atoms, dictionary_seed(seed)).
-
-Trials solve on the dictionary's Gram-carrying form (Dictionary.with_gram):
-many trials share one dictionary, so its Gram matrix is built once and each
-residual correlation reads |T| of its rows instead of the whole dictionary.
 """
 
 import hashlib
@@ -224,8 +220,8 @@ def run_trial(D, k, sigma, algorithms, seed, halting="practical"):
     trial_index None: run_experiment numbers the trials of each (k, sigma)
     point 0..trials_per_point-1. A solver failure (a SparseLabError, or a
     LinAlgError from numpy) is recorded as the error category on that
-    record rather than aborting the sweep. The solvers run on D.with_gram(),
-    which is built on the first call for D and reused after.
+    record rather than aborting the sweep. The solvers run on D.with_gram():
+    trials share a dictionary, so its Gram matrix is built once and reused.
     """
     D = D.with_gram()
     rng = np.random.default_rng(seed)

@@ -48,8 +48,7 @@ class Dictionary:
     """An m x N measurement matrix with unit-norm columns.
 
     `entries` is a read-only, column-major (F-contiguous) copy of the matrix
-    given, whatever the layout of that matrix. A dictionary built here
-    carries no Gram matrix; with_gram gives one that does.
+    given, whatever the layout of that matrix.
     """
 
     entries: np.ndarray
@@ -118,10 +117,9 @@ class Dictionary:
     def residual_correlation(self, z, support, coef, residual):
         """D^T residual for residual = y - D_T coef, given z = D^T y.
 
-        With a Gram this is z - coef G_T, from the |T| rows of G on the
-        support (G is symmetric, and its rows are contiguous), which agrees
-        with the product below up to rounding; without one it is
-        entries.T @ residual.
+        With a Gram this is z - coef G_T, from G's contiguous rows on the
+        support (G is symmetric); it agrees with entries.T @ residual, the
+        result without one, up to rounding.
         """
         if self._gram is None:
             return self.entries.T @ residual

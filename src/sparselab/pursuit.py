@@ -385,9 +385,12 @@ def _to_json(value):
 def _array_to_json(a):
     """A float array as base64 of its little-endian float64 bytes, row-major: exact, and far faster than a list of floats."""
     a = np.asarray(a, dtype="<f8")
-    if a.ndim == 2 and not a.flags.c_contiguous:
-        a = _copy_in_blocks(a, "C")
-    return base64.b64encode(a.tobytes()).decode("ascii")
+    # base64 reads a C-contiguous buffer as it is; the row-major copy is a
+    # temporary, freed before the decode allocates the string
+    encoded = base64.b64encode(
+        _copy_in_blocks(a, "C") if a.ndim == 2 and not a.flags.c_contiguous else np.ascontiguousarray(a)
+    )
+    return encoded.decode("ascii")
 
 
 def _array_from_json(value):
