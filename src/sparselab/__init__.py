@@ -4,9 +4,7 @@ from .errors import (
     BudgetExceeded,
     ConfigError,
     Divergence,
-    IterationBudgetExceeded,
     NonFinite,
-    PoleViolation,
     RankDeficient,
     SparseLabError,
     ZeroColumn,

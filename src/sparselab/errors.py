@@ -34,16 +34,8 @@ class BudgetExceeded(SparseLabError):
     """An exact enumeration would exceed the support-count budget."""
 
 
-class IterationBudgetExceeded(SparseLabError):
-    """Requested iteration count exceeds the configured cap."""
-
-
 class Divergence(SparseLabError):
     """Iterates grew without bound (operator-norm precondition violated)."""
-
-
-class PoleViolation(SparseLabError):
-    """A constant formula was evaluated at or beyond its pole."""
 
 
 class ConfigError(SparseLabError):

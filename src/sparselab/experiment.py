@@ -22,7 +22,7 @@ from dataclasses import MISSING, asdict, dataclass, fields, replace
 import numpy as np
 
 from . import guarantees
-from .errors import ConfigError, IterationBudgetExceeded, SparseLabError
+from .errors import ConfigError, SparseLabError
 from .linalg import SparseSignal, SupportSet, normalize_columns
 from .metrics import rip_monte_carlo
 from .pursuit import (
@@ -129,7 +129,7 @@ def _halting_rule(spec, sigma):
             return PracticalLogRule(sigma)
         if spec.startswith("fixed:"):
             return FixedIterations(int(spec.split(":", 1)[1]))
-    except (ValueError, IterationBudgetExceeded) as exc:
+    except ValueError as exc:
         raise ConfigError(f"bad halting {spec!r}: {exc}") from None
     raise ConfigError(f"unknown halting {spec!r}; expected 'practical' or 'fixed:<count>'")
 
@@ -263,29 +263,23 @@ def run_trial(D, k, sigma, algorithms, seed, halting="practical"):
     return records
 
 
+def _trial_records(D, cfg, task):
+    trial_index, k, sigma = task
+    records = run_trial(D, k, sigma, cfg.algorithms, trial_seed(cfg.seed, k, sigma, trial_index), halting=cfg.halting)
+    return [replace(r, trial_index=trial_index) for r in records]
+
+
 _WORKER_CTX = {}
 
 
 def _worker_init(D, cfg):
-    # the sweep's own matrix, bit for bit: the sampled delta describes the same
-    # one. A pickled dictionary arrives without its Gram, so each worker builds
-    # it here, before its first trial is timed.
-    _WORKER_CTX["D"] = D.with_gram()
+    # the sweep's own matrix, bit for bit: the sampled delta describes the same one
+    _WORKER_CTX["D"] = D
     _WORKER_CTX["cfg"] = cfg
 
 
 def _worker_run(task):
-    trial_index, k, sigma = task
-    cfg = _WORKER_CTX["cfg"]
-    records = run_trial(
-        _WORKER_CTX["D"],
-        k,
-        sigma,
-        cfg.algorithms,
-        trial_seed(cfg.seed, k, sigma, trial_index),
-        halting=cfg.halting,
-    )
-    return [replace(r, trial_index=trial_index) for r in records]
+    return _trial_records(_WORKER_CTX["D"], _WORKER_CTX["cfg"], task)
 
 
 def _delta_for(cfg, D, algorithm, k):
@@ -346,12 +340,7 @@ def run_experiment(cfg):
     points = [(k, sigma) for k in cfg.k_values for sigma in cfg.sigma_values]
     tasks = [(t, k, sigma) for k, sigma in points for t in range(cfg.trials_per_point)]
     if cfg.workers == 1:
-        _worker_init(D, cfg)
-        try:
-            per_trial = list(map(_worker_run, tasks))
-        finally:
-            # free the dictionary and its Gram with the sweep
-            _WORKER_CTX.clear()
+        per_trial = [_trial_records(D, cfg, task) for task in tasks]
     else:
         with multiprocessing.Pool(
             processes=cfg.workers, initializer=_worker_init, initargs=(D, cfg)

@@ -43,7 +43,7 @@ def _copy_in_blocks(a, order="F"):
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dictionary:
     """An m x N measurement matrix with unit-norm columns.
 
@@ -177,7 +177,7 @@ class SupportSet:
         return SupportSet(sorted(set(self.indices) - set(other.indices)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SparseSignal:
     """A length-N vector with explicit support and intended cardinality k."""
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import guarantees, metrics
-from .errors import Divergence, IterationBudgetExceeded, NonFinite
+from .errors import Divergence, NonFinite
 from .linalg import (
     Dictionary,
     SparseSignal,
@@ -62,7 +62,7 @@ class FixedIterations:
         if self.count < 1:
             raise ValueError("iteration count must be >= 1")
         if self.count > MAX_ITERATIONS:
-            raise IterationBudgetExceeded(f"fixed iteration count {self.count} exceeds cap {MAX_ITERATIONS}")
+            raise ValueError(f"fixed iteration count {self.count} exceeds cap {MAX_ITERATIONS}")
 
     def iterations(self, y_norm, k):
         return self.count
@@ -103,7 +103,7 @@ class PursuitConfig:
             raise ValueError("k must be >= 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IterationRecord:
     """One iteration. Its number is its 1-based position in the trace; the support
     before it is the previous record's pruned_support, or empty for the first."""
@@ -117,7 +117,7 @@ class IterationRecord:
     estimate_error: float | None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PursuitResult:
     estimate: SparseSignal
     trace: tuple
@@ -417,6 +417,13 @@ def _typed(*types):
 _INT, _NUMBER, _LIST, _OBJECT = _typed(int), _typed(int, float), _typed(list), _typed(dict)
 
 
+def _sigma(value):
+    sigma = float(_NUMBER(value))
+    if not 0 <= sigma < math.inf:
+        raise ValueError(f"must be finite and nonnegative, got {sigma!r}")
+    return sigma
+
+
 def _field(path, obj, key, read, optional=False, prefix=""):
     """obj[key] through `read` (None for an optional null); any fault is a ValueError naming the file and field."""
     name = prefix + key
@@ -427,8 +434,17 @@ def _field(path, obj, key, read, optional=False, prefix=""):
         return None
     try:
         return read(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, NonFinite) as exc:
         raise ValueError(f"{path}: field {name!r}: {exc}") from None
+
+
+def _check_size(items, size, n_atoms=math.inf):
+    """`items` if it holds `size` of them (None: any number) and, a support, indices below n_atoms."""
+    if size is not None and len(items) != size:
+        raise ValueError(f"holds {len(items)} values, expected {size}")
+    if isinstance(items, SupportSet) and items.indices and items.indices[-1] >= n_atoms:
+        raise ValueError(f"index {items.indices[-1]} is not below n_atoms = {n_atoms}")
+    return items
 
 
 # every IterationRecord field, in JSON key order, with the reader for its
@@ -478,7 +494,7 @@ def write_trace(path, result, D, x_true=None, noise=None, sigma=None):
             fh.write(json.dumps({"record": "iteration", **line}) + "\n")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TraceBundle:
     algorithm: Algorithm
     k: int
@@ -498,7 +514,8 @@ def read_trace(path):
 
     A malformed file (a line that is not JSON, a missing field, a value of
     the wrong type, an array stored as a list of floats by an older
-    sparselab) raises ValueError naming the file and the line or field.
+    sparselab, parts that disagree in size, an index past n_atoms) raises
+    ValueError naming the file and the line or field.
     """
     lines = []
     with open(path) as fh:
@@ -512,27 +529,33 @@ def read_trace(path):
     if not lines or not isinstance(lines[0][1], dict) or lines[0][1].get("record") != "header":
         raise ValueError(f"{path}: missing trace header line")
     h = lines[0][1]
-    shape = _field(path, h, "m", _INT), _field(path, h, "n_atoms", _INT)
-    entries = _field(path, h, "dictionary", lambda value: _array_from_json(value).reshape(shape))
+    m, n = shape = _field(path, h, "m", _INT), _field(path, h, "n_atoms", _INT)
+    k = _field(path, h, "k", _INT)
+    dictionary = _field(path, h, "dictionary", lambda value: Dictionary(_array_from_json(value).reshape(shape)))
     x = _field(path, h, "x_true", _OBJECT, optional=True)
+    if x is not None:
+        readers = {"values": lambda value: _check_size(_array_from_json(value), n), "support": _READERS[SupportSet], "k": _INT}
+        parts = {key: _field(path, x, key, read, prefix="x_true.") for key, read in readers.items()}
+        # the signal's own checks (support within values, zero off it, k) name x_true
+        x = _field(path, h, "x_true", lambda _: SparseSignal(**parts))
     records = []
     for number, obj in lines[1:]:
         if not isinstance(obj, dict) or obj.get("record") != "iteration":
             raise ValueError(f"{path}: line {number} is not an iteration record")
         values = {name: _field(path, obj, name, read, optional) for name, (read, optional) in _ITERATION_FIELDS.items()}
+        pruned, merged = values["pruned_support"], values["merged_support"]
+        if len(pruned) != k:
+            raise ValueError(f"{path}: field 'k': {k}, but line {number} prunes to {len(pruned)} atoms")
+        sizes = {"coefficients": len(pruned if merged is None else merged), "estimate_values": k}
+        for name in ("delta_support", "merged_support", "pruned_support", *sizes):
+            _field(path, values, name, lambda items: _check_size(items, sizes.get(name), n), optional=True)
         records.append(IterationRecord(**values))
     return TraceBundle(
         algorithm=_field(path, h, "algorithm", Algorithm),
-        k=_field(path, h, "k", _INT),
-        dictionary=Dictionary(entries),
+        k=k,
+        dictionary=dictionary,
         records=tuple(records),
-        x_true=None
-        if x is None
-        else SparseSignal(
-            _field(path, x, "values", _array_from_json, prefix="x_true."),
-            _field(path, x, "support", _READERS[SupportSet], prefix="x_true."),
-            _field(path, x, "k", _INT, prefix="x_true."),
-        ),
-        noise=_field(path, h, "noise", _array_from_json, optional=True),
-        sigma=_field(path, h, "sigma", _READERS[float], optional=True),
+        x_true=x,
+        noise=_field(path, h, "noise", lambda value: _check_size(_array_from_json(value), m), optional=True),
+        sigma=_field(path, h, "sigma", _sigma, optional=True),
     )

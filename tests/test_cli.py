@@ -1,6 +1,7 @@
 import argparse
 import base64
 import json
+import math
 import os
 import pathlib
 import shlex
@@ -138,6 +139,15 @@ class TestBounds:
         code, stdout, stderr = run_cli(capsys, "bounds", *(tok for pair in argv.items() for tok in pair))
         assert code == 2 and stdout == ""
         assert stderr.startswith("error[ValueError]:")
+
+    def test_ds_past_its_pole_is_a_value_error(self, capsys):
+        code, stdout, stderr = run_cli(
+            capsys,
+            "bounds", "--algorithm", "ds", "--delta", "0.6", "--n", "1024", "--k", "10", "--sigma", "1",
+            "--second-delta", "0.1",
+        )
+        assert code == 2 and stdout == ""
+        assert stderr.startswith(r"error[ValueError]: delta must lie in [0, 0.5), got 0.6")
 
     def test_invalid_delta(self, capsys):
         code, _, stderr = run_cli(
@@ -379,6 +389,53 @@ class TestDiagnose:
             tmp_path, capsys, "pruned_support", lambda h, r: r.update(pruned_support=[0, 2**64])
         )
 
+    @pytest.mark.parametrize(
+        "field, edit",
+        [
+            ("x_true.values", lambda h, r: h["x_true"].update(values=floats(np.zeros(20)))),
+            ("x_true", lambda h, r: h["x_true"].update(support=[0, 18])),
+            ("noise", lambda h, r: h.update(noise=floats(np.zeros(10)))),
+            ("pruned_support", lambda h, r: r.update(pruned_support=[1, 99])),
+            ("merged_support", lambda h, r: r.update(merged_support=r["merged_support"] + [99])),
+            ("delta_support", lambda h, r: r.update(delta_support=[18, 19])),
+            ("estimate_values", lambda h, r: r.update(estimate_values=floats(np.ones(3)))),
+            ("coefficients", lambda h, r: r.update(coefficients=floats(np.ones(5)))),
+            ("k", lambda h, r: h.update(k=3)),
+            ("sigma", lambda h, r: h.update(sigma=-0.1)),
+            ("sigma", lambda h, r: h.update(sigma=math.nan)),
+            ("dictionary", lambda h, r: h.update(dictionary=floats(np.r_[math.nan, decoded(h["dictionary"])[1:]]))),
+            ("dictionary", lambda h, r: h.update(dictionary=floats(2 * decoded(h["dictionary"])))),
+        ],
+        ids=[
+            "truth_length",
+            "truth_support_past_n_atoms",
+            "noise_length",
+            "pruned_support_past_n_atoms",
+            "merged_support_past_n_atoms",
+            "delta_support_past_n_atoms",
+            "estimate_values_length",
+            "coefficients_length",
+            "header_k",
+            "sigma_negative",
+            "sigma_nan",
+            "dictionary_nan",
+            "dictionary_not_normalized",
+        ],
+    )
+    def test_inconsistent_trace_exits_2_naming_the_field(self, tmp_path, capsys, field, edit):
+        # each used to exit 0, or exit 2 with a message that named no file or field
+        self.assert_rejected_naming(tmp_path, capsys, field, edit)
+
+    def test_trace_without_truth_rejected(self, tmp_path, capsys):
+        D = generate_dictionary(12, 18, 47)
+        x = generate_signal(18, 2, 48)
+        res = subspace_pursuit(D, D.entries @ x.values, PursuitConfig(k=2, halting=FixedIterations(2)))
+        path = tmp_path / "t.jsonl"
+        write_trace(path, res, D, noise=np.zeros(12))
+        code, stdout, stderr = run_cli(capsys, "diagnose", "--in", str(path), "--delta", "0.3")
+        assert code == 2 and stdout == ""
+        assert stderr.startswith("error[ConfigError]: trace has no stored true signal")
+
     def assert_rejected_naming(self, tmp_path, capsys, field, edit):
         path = self.make_trace(tmp_path)
         header, record, *rest = (json.loads(line) for line in path.read_text().splitlines())
@@ -431,3 +488,12 @@ class TestDiagnose:
         code, _, stderr = run_cli(capsys, "diagnose", "--in", str(path))
         assert code == 2
         assert stderr.startswith("error[ConfigError]:")
+
+
+def floats(a):
+    """An array in a trace's form: base64 of its little-endian float64 bytes."""
+    return base64.b64encode(np.asarray(a, dtype="<f8").tobytes()).decode("ascii")
+
+
+def decoded(encoded):
+    return np.frombuffer(base64.b64decode(encoded), dtype="<f8")

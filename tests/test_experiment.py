@@ -238,7 +238,7 @@ class TestConfigValidation:
         small_config(sigma_values=(0.0,), halting="fixed:5")
 
     def test_fixed_halting_over_the_cap(self):
-        # caught here, not by the first trial's IterationBudgetExceeded mid-sweep
+        # caught here, not by the first trial's FixedIterations mid-sweep
         with pytest.raises(ConfigError, match="bad halting 'fixed:150': fixed iteration count 150 exceeds cap 100"):
             small_config(halting="fixed:150")
         small_config(halting=f"fixed:{MAX_ITERATIONS}")
@@ -547,3 +547,34 @@ class TestEmission:
     def test_unknown_format_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             emit_results([], "xml", tmp_path / "x")
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda tmp: small_config(trials_per_point=0), "trials_per_point must be >= 1"),
+            (lambda tmp: small_config(delta_mc_trials=0), "delta_mc_trials must be >= 1"),
+            (lambda tmp: parse_config(write(tmp, "m = 32\nn_atoms 64\n")), r":2: expected 'key = value', got 'n_atoms 64'"),
+        ],
+        ids=["no_trials", "no_delta_samples", "line_without_equals"],
+    )
+    def test_rejected(self, tmp_path, call, message):
+        with pytest.raises(ConfigError, match=message):
+            call(tmp_path)
+
+    def test_point_whose_trials_all_fail_reports_nan_not_zero_violations(self):
+        failed = [
+            experiment.TrialRecord(t, 3, 0.5, "sp", math.nan, 0.75, False, 0, error="RankDeficient") for t in range(4)
+        ]
+        row = experiment._aggregate_point(small_config(), 3, 0.5, Algorithm.SP, guarantees.SP_CONDITION, failed)
+        assert (row.trials, row.oracle_mse, row.condition_met) == (0, 0.75, True)
+        assert math.isfinite(row.prob_bound)
+        for value in (row.mse, row.median_se, row.p99_se, row.bound_violation_rate):
+            assert math.isnan(value)
+
+
+def write(tmp_path, text):
+    path = tmp_path / "exp.cfg"
+    path.write_text(text)
+    return path

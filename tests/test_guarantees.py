@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sparselab.errors import PoleViolation, RankDeficient
+from sparselab.errors import RankDeficient
 from sparselab.guarantees import (
     CONDITIONS,
     COSAMP_CONDITION,
@@ -176,9 +176,9 @@ class TestDsConstant:
         assert ds_constant(0.139) == pytest.approx(float(4 / (1 - Fraction(278, 1000))), rel=1e-14)
 
     def test_pole_at_half(self):
-        with pytest.raises(PoleViolation):
+        with pytest.raises(ValueError, match=r"delta must lie in \[0, 0\.5\), got 0\.5"):
             ds_constant(0.5)
-        with pytest.raises(PoleViolation):
+        with pytest.raises(ValueError, match=r"delta must lie in \[0, 0\.5\), got 0\.7"):
             ds_constant(0.7)
 
     def test_noise_free_limit(self):
@@ -237,13 +237,18 @@ class TestConditionCheck:
 
 class TestDeltaCheck:
     @pytest.mark.parametrize(
-        "call",
-        [iht_constants, ds_constant, lambda d: oracle_mse_bound(3, d, 1.0), lambda d: condition_check("sp", d)],
+        "call, below",
+        [
+            (iht_constants, "inf"),
+            (ds_constant, r"0\.5"),
+            (lambda d: oracle_mse_bound(3, d, 1.0), r"1\.0"),
+            (lambda d: condition_check("sp", d), "inf"),
+        ],
         ids=["iht_constants", "ds_constant", "oracle_mse_bound", "condition_check"],
     )
-    def test_nan_delta_rejected(self, call):
-        # each used to return NaN (or False from condition_check)
-        with pytest.raises(ValueError, match=r"delta must lie in \[0, inf\), got nan"):
+    def test_nan_delta_rejected(self, call, below):
+        # each used to return NaN (or False from condition_check); the bound is the function's pole
+        with pytest.raises(ValueError, match=rf"delta must lie in \[0, {below}\), got nan"):
             call(math.nan)
 
 
@@ -276,7 +281,7 @@ class TestProbabilisticBounds:
     def test_oracle_mse_bound(self):
         assert oracle_mse_bound(10, 0.0, 2.0) == pytest.approx(40.0, rel=1e-15)
         assert oracle_mse_bound(3, 0.5, 1.0) == pytest.approx(6.0, rel=1e-15)
-        with pytest.raises(PoleViolation):
+        with pytest.raises(ValueError, match=r"delta must lie in \[0, 1\.0\), got 1\.0"):
             oracle_mse_bound(3, 1.0, 1.0)
 
 
@@ -349,3 +354,23 @@ class TestBoundReport:
             GuaranteeParams(a=1.0, n_atoms=8, k=1, sigma=1.0, delta=1.0)
         with pytest.raises(ValueError):
             GuaranteeParams(a=1.0, n_atoms=8, k=0, sigma=1.0, delta=0.1)
+
+
+class TestInputChecks:
+    D = normalize_columns(np.random.default_rng(71).standard_normal((3, 5)))
+
+    @pytest.mark.parametrize(
+        "call, error, message",
+        [
+            (lambda D: GuaranteeParams(a=1.0, n_atoms=1, k=1, sigma=1.0, delta=0.1), ValueError, "at least two atoms"),
+            (lambda D: success_probability(1.0, 1), ValueError, "at least two atoms"),
+            (lambda D: oracle_mse_exact(D, SupportSet((0, 1, 2, 3)), 1.0), RankDeficient, r"\|T\| = 4 exceeds m = 3"),
+        ],
+        ids=["params_one_atom", "success_probability_one_atom", "oracle_support_past_m"],
+    )
+    def test_rejected(self, call, error, message):
+        with pytest.raises(error, match=message):
+            call(self.D)
+
+    def test_oracle_mse_of_an_empty_support_is_zero(self):
+        assert oracle_mse_exact(self.D, SupportSet(()), 2.0) == 0.0

@@ -1,4 +1,4 @@
-"""Source hygiene: every name a module imports or assigns at its top level is used."""
+"""Source hygiene: every name a module imports, assigns or defines privately at its top level is used."""
 
 import ast
 import pathlib
@@ -59,6 +59,18 @@ def unreferenced_constants(source, package_sources):
     return sorted(_assigned_names(ast.parse(source)) - _referenced_names(package_sources))
 
 
+def unreferenced_private_definitions(source, package_sources):
+    """Functions and classes source defines at its top level under a _name that no package source reads."""
+    defined = {
+        node.name
+        for node in ast.parse(source).body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+    }
+    return sorted(defined - _referenced_names(package_sources))
+
+
 def test_modules_found():
     assert {p.name for p in MODULES} >= {"cli.py", "experiment.py", "guarantees.py", "pursuit.py"}
 
@@ -83,3 +95,21 @@ def test_detects_an_unreferenced_constant():
     a = "TOL = 1e-8\nUSED = 2\n_TABLE: dict = {}\n__all__ = []\n"
     b = "from .a import USED\nimport a\nprint(a._TABLE)\n"
     assert unreferenced_constants(a, [a, b]) == ["TOL"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_unreferenced_private_definitions(path):
+    package_sources = [module.read_text() for module in PACKAGE.glob("*.py")]
+    assert unreferenced_private_definitions(path.read_text(), package_sources) == []
+
+
+def test_detects_an_unreferenced_private_definition():
+    a = (
+        "def _dead():\n    pass\n"
+        "def _used():\n    pass\n"
+        "class _Gone:\n    pass\n"
+        "def __getattr__(name):\n    pass\n"
+        "def public():\n    pass\n"
+    )
+    b = "from .a import _used\n"
+    assert unreferenced_private_definitions(a, [a, b]) == ["_Gone", "_dead"]

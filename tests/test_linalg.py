@@ -427,3 +427,36 @@ class TestCsvRoundTrip:
         path.write_text("3,4\n1.0,0.0,0.0,0.0\n")
         with pytest.raises(ValueError):
             import_dictionary_csv(path)
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize(
+        "call, error, message",
+        [
+            (lambda tmp: Dictionary(np.ones(3)), ValueError, "must be a 2-d matrix"),
+            (lambda tmp: Dictionary(np.full((2, 3), np.nan)), NonFinite, "dictionary entries must be finite"),
+            (lambda tmp: SparseSignal(np.zeros((2, 2)), SupportSet(()), 1), ValueError, "must be a 1-d vector"),
+            (lambda tmp: SparseSignal([np.inf, 0.0], SupportSet((0,)), 1), NonFinite, "signal values must be finite"),
+            (lambda tmp: SparseSignal(np.zeros(3), SupportSet((3,)), 1), ValueError, "support index out of range"),
+            (lambda tmp: top_k_support(np.ones(3), 4), ValueError, r"need 0 <= k <= 3, got 4"),
+            (lambda tmp: import_dictionary_csv(write(tmp, "3;4\n1,0,0,0\n")), ValueError, "malformed header '3;4'"),
+        ],
+        ids=[
+            "dictionary_1d",
+            "dictionary_non_finite",
+            "signal_2d",
+            "signal_non_finite",
+            "signal_support_past_length",
+            "top_k_past_length",
+            "csv_malformed_header",
+        ],
+    )
+    def test_rejected(self, tmp_path, call, error, message):
+        with pytest.raises(error, match=message):
+            call(tmp_path)
+
+
+def write(tmp_path, text):
+    path = tmp_path / "input.csv"
+    path.write_text(text)
+    return path

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sparselab import metrics
-from sparselab.errors import BudgetExceeded
+from sparselab.errors import BudgetExceeded, NonFinite
 from sparselab.linalg import SupportSet, normalize_columns
 from sparselab.metrics import (
     _deviation_matrix,
@@ -264,3 +264,36 @@ class TestWorstCaseNoiseCorrelation:
         res = worst_case_noise_correlation(D, e, 2)
         realized = float(np.linalg.norm(D.columns(res.argmax_support).T @ e))
         assert realized == pytest.approx(res.value, abs=1e-12)
+
+
+class TestInputChecks:
+    D = random_dictionary(4, 6, 70)
+
+    @pytest.mark.parametrize(
+        "call, error, message",
+        [
+            (lambda D: mutual_coherence(normalize_columns(np.ones((1, 1)))), ValueError, "at least two atoms"),
+            (lambda D: rip_exact(D, 0), ValueError, r"need 1 <= k <= 6, got 0"),
+            (lambda D: rip_exact(D, 7), ValueError, r"need 1 <= k <= 6, got 7"),
+            (lambda D: rip_monte_carlo(D, 0, trials=10, seed=0), ValueError, r"need 1 <= k <= 6, got 0"),
+            (lambda D: rip_monte_carlo(D, 7, trials=10, seed=0), ValueError, r"need 1 <= k <= 6, got 7"),
+            (lambda D: rip_monte_carlo(D, 2, trials=0, seed=0), ValueError, "trials must be >= 1"),
+            (lambda D: worst_case_noise_correlation(D, [0.0, np.nan, 0.0, 0.0], 1), NonFinite, "must be finite"),
+            (lambda D: worst_case_noise_correlation(D, np.ones(4), -1), ValueError, r"need 0 <= k <= 6, got -1"),
+            (lambda D: worst_case_noise_correlation(D, np.ones(4), 7), ValueError, r"need 0 <= k <= 6, got 7"),
+        ],
+        ids=[
+            "coherence_one_atom",
+            "rip_exact_k_zero",
+            "rip_exact_k_past_n",
+            "rip_mc_k_zero",
+            "rip_mc_k_past_n",
+            "rip_mc_no_trials",
+            "noise_correlation_non_finite",
+            "noise_correlation_k_negative",
+            "noise_correlation_k_past_n",
+        ],
+    )
+    def test_rejected(self, call, error, message):
+        with pytest.raises(error, match=message):
+            call(self.D)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sparselab.errors import Divergence, IterationBudgetExceeded, NonFinite
+from sparselab.errors import Divergence, NonFinite
 from sparselab.guarantees import cosamp_constants, iht_constants, oracle_mse_exact, rip_order, sp_constants
 from sparselab.linalg import Dictionary, SparseSignal, SupportSet, least_squares_on_support, normalize_columns
 from sparselab.metrics import worst_case_noise_correlation
@@ -18,6 +18,7 @@ from sparselab.pursuit import (
     PracticalLogRule,
     PursuitConfig,
     PursuitResult,
+    TraceBundle,
     cosamp,
     iht,
     oracle_estimator,
@@ -75,7 +76,7 @@ class TestHalting:
         with pytest.raises(ValueError):
             FixedIterations(0)
         FixedIterations(MAX_ITERATIONS)
-        with pytest.raises(IterationBudgetExceeded, match="fixed iteration count 101 exceeds cap 100"):
+        with pytest.raises(ValueError, match="fixed iteration count 101 exceeds cap 100"):
             FixedIterations(MAX_ITERATIONS + 1)
 
     def test_practical_rule_reads_measurement_norm(self):
@@ -653,3 +654,60 @@ class TestProperties:
         assert len(res.estimate.support) <= k
         assert np.count_nonzero(res.estimate.values) <= k
         assert np.all(np.isfinite(res.estimate.values))
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda tmp: PursuitConfig(k=0, halting=FixedIterations(1)), "k must be >= 1"),
+            (lambda tmp: read_trace(write_text(tmp, "")), "missing trace header line"),
+            (lambda tmp: read_trace(write_text(tmp, '{"record": "iteration"}\n')), "missing trace header line"),
+        ],
+        ids=["config_k_zero", "trace_empty", "trace_without_header"],
+    )
+    def test_rejected(self, tmp_path, call, message):
+        with pytest.raises(ValueError, match=message):
+            call(tmp_path)
+
+
+def write_text(tmp_path, text):
+    path = tmp_path / "trace.jsonl"
+    path.write_text(text)
+    return path
+
+
+def equal_content_pair(cls, tmp_path):
+    """Two distinct objects of one array-holding class, built from the same inputs."""
+    D = random_dictionary(4, 6, 1)
+    if cls is Dictionary:
+        return D, random_dictionary(4, 6, 1)
+    x = generate_signal(6, 1, 2)
+    if cls is SparseSignal:
+        return x, generate_signal(6, 1, 2)
+    cfg = PursuitConfig(k=1, halting=FixedIterations(2))
+    a, b = (subspace_pursuit(D, D.entries @ x.values, cfg, x_true=x) for _ in range(2))
+    if cls is PursuitResult:
+        return a, b
+    if cls is IterationRecord:
+        return a.trace[0], b.trace[0]
+    write_trace(tmp_path / "t.jsonl", a, D, x_true=x)
+    return read_trace(tmp_path / "t.jsonl"), read_trace(tmp_path / "t.jsonl")
+
+
+class TestIdentityEquality:
+    @pytest.mark.parametrize(
+        "cls", [Dictionary, SparseSignal, IterationRecord, PursuitResult, TraceBundle], ids=lambda cls: cls.__name__
+    )
+    def test_equality_and_hash_are_by_identity(self, tmp_path, cls):
+        # the generated __eq__ compared ndarray fields and raised; the generated __hash__ raised TypeError
+        a, b = equal_content_pair(cls, tmp_path)
+        assert type(a) is type(b) is cls and a is not b
+        assert a == a and a != b
+        assert hash(a) == object.__hash__(a) and hash(b) == object.__hash__(b)
+        assert a in {a} and b not in {a} and len({a, b}) == 2
+
+    def test_dictionary_and_its_gram_form_differ(self):
+        # the generated __eq__ compared the shared entries array by identity and called them equal
+        D = random_dictionary(4, 6, 1)
+        assert D.with_gram() != D and D.with_gram() == D.with_gram()
