@@ -13,8 +13,10 @@ written to traces, and as a read-only int64 array, the form that indexes.
 
 A dictionary can also carry its Gram matrix G = D^T D (with_gram). Solvers
 then correlate a residual y - D_T c with every atom as z - c G_T, z = D^T y,
-reading |T| rows of G instead of all m N entries. That pays only when many
-solves share one dictionary, as a sweep's trials do.
+reading |T| rows of G instead of all m N entries, and solve least squares on
+T through the Cholesky factor of G_TT instead of factoring D_T, so their
+coefficients can differ from the plain dictionary's in the last bits. That
+pays only when many solves share one dictionary, as a sweep's trials do.
 """
 
 from dataclasses import dataclass, field
@@ -25,6 +27,10 @@ from .errors import NonFinite, RankDeficient, ZeroColumn
 
 NORMALIZATION_RTOL = 1e-10
 RANK_RCOND = 1e-12
+# the Gram path's answer stands only where it certifies lambda_min(G_TT) at
+# least this: far above G's rounding, and far from lstsq's rank cut, since
+# sigma_min(D_T) / sigma_max(D_T) >= sqrt(GRAM_EIG_FLOOR / |T|)
+GRAM_EIG_FLOOR = 1e-4
 ZERO_COLUMN_TOL = 1e-14
 _INT64_MAX = np.iinfo(np.int64).max
 # rows per block when copying into column-major order (columns per block into
@@ -100,7 +106,8 @@ class Dictionary:
         """This dictionary carrying its Gram matrix, read-only and built on the first call only.
 
         The result has the same entries and is returned again by every later
-        call (on it, it returns itself); only residual_correlation reads G.
+        call (on it, it returns itself); residual_correlation and
+        least_squares_on_support read G.
         """
         if self._gram is not None:
             return self
@@ -234,16 +241,41 @@ def normalize_columns(matrix):
     return Dictionary(matrix / norms)
 
 
-def least_squares_on_support(D, T, y):
-    """Solve min_c ||y - D_T c||_2 by orthogonal factorization.
+def _cholesky_solve(D, T, y, z):
+    """c with G_TT c = D_T^T y from the Cholesky factor L of G_TT, or None where L
+    does not certify lambda_min(G_TT) >= 1 / ||L^-1||_F^2 >= GRAM_EIG_FLOOR."""
+    t = T.as_array()
+    try:
+        inv = np.linalg.inv(np.linalg.cholesky(D._gram[t[:, None], t]))
+    except np.linalg.LinAlgError:
+        return None
+    # 1 / lambda_min(G_TT) = ||L^-1||_2^2 <= ||L^-1||_F^2; `not <=` also refuses a NaN
+    if not np.vdot(inv, inv) <= 1.0 / GRAM_EIG_FLOOR:
+        return None
+    b = D.columns(T).T @ y if z is None else z[t]
+    return inv.T @ (inv @ b)
+
+
+def least_squares_on_support(D, T, y, z=None):
+    """Solve min_c ||y - D_T c||_2.
 
     Returns the coefficient vector of length |T| (empty T gives an empty
-    vector). Raises RankDeficient when the smallest singular value of D_T
-    relative to the largest is below 1e-12, or when |T| > m.
+    vector). On a dictionary carrying its Gram (with_gram) the normal
+    equations G_TT c = D_T^T y are solved by the Cholesky factor of G_TT,
+    reading D_T^T y from z = D^T y when given; that answer is returned only
+    when the factor certifies lambda_min(G_TT) >= GRAM_EIG_FLOOR. Every other
+    support, and every support on a plain dictionary, is solved by
+    orthogonal factorization of D_T, which raises RankDeficient when the
+    smallest singular value of D_T relative to the largest is below 1e-12,
+    or when |T| > m.
     """
     k = T.cardinality
     if k > D.m:
         raise RankDeficient(f"|T| = {k} exceeds measurement dimension m = {D.m}")
+    if D._gram is not None:
+        coef = _cholesky_solve(D, T, y, z)
+        if coef is not None:
+            return coef
     sub = D.columns(T)
     coef, _, rank, _ = np.linalg.lstsq(sub, np.asarray(y, dtype=np.float64), rcond=RANK_RCOND)
     if rank < k:

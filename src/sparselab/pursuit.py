@@ -17,9 +17,10 @@ recurrence_diagnostics replays a trace against the per-iteration error
 inequalities that drive each solver's accuracy guarantee.
 
 On a dictionary that carries its Gram matrix (Dictionary.with_gram) every
-correlation after the first is taken from G, so the results can differ from
-the plain dictionary's in the last bits: IHT's values, and in principle the
-atoms picked at a tie.
+correlation after the first is taken from G, and every restricted least
+squares is solved through the Cholesky factor of G_TT, so the results can
+differ from the plain dictionary's in the last bits: IHT's values, SP's and
+CoSaMP's coefficients, and in principle the atoms picked at a tie.
 """
 
 import base64
@@ -187,9 +188,9 @@ def _pursue(algorithm, D, y, cfg, x_true):
         else:
             delta_support = top_k_support(corr, grow * cfg.k)
             merged = support.union(delta_support)
-            coefficients = least_squares_on_support(D, merged, y)
+            coefficients = least_squares_on_support(D, merged, y, z)
             pruned, kept_positions = _prune(merged, coefficients, cfg.k)
-            values = least_squares_on_support(D, pruned, y) if resolve else coefficients[kept_positions]
+            values = least_squares_on_support(D, pruned, y, z) if resolve else coefficients[kept_positions]
         y_r = y - D.columns(pruned) @ values
         trace.append(
             IterationRecord(
@@ -470,6 +471,8 @@ def write_trace(path, result, D, x_true=None, noise=None, sigma=None):
     """
     if not result.trace:
         raise ValueError(f"a {result.algorithm.value} result has no iterations to trace")
+    if x_true is not None and x_true.k != result.estimate.k:
+        raise ValueError(f"x_true.k = {x_true.k} differs from the solver's k = {result.estimate.k}")
     header = {
         "record": "header",
         "algorithm": result.algorithm.value,
@@ -514,8 +517,9 @@ def read_trace(path):
 
     A malformed file (a line that is not JSON, a missing field, a value of
     the wrong type, an array stored as a list of floats by an older
-    sparselab, parts that disagree in size, an index past n_atoms) raises
-    ValueError naming the file and the line or field.
+    sparselab, parts that disagree in size, an index past n_atoms, an
+    x_true.k other than the header's k) raises ValueError naming the file
+    and the line or field.
     """
     lines = []
     with open(path) as fh:
@@ -536,6 +540,8 @@ def read_trace(path):
     if x is not None:
         readers = {"values": lambda value: _check_size(_array_from_json(value), n), "support": _READERS[SupportSet], "k": _INT}
         parts = {key: _field(path, x, key, read, prefix="x_true.") for key, read in readers.items()}
+        if parts["k"] != k:
+            raise ValueError(f"{path}: field 'x_true.k': {parts['k']}, but the header's 'k' is {k}")
         # the signal's own checks (support within values, zero off it, k) name x_true
         x = _field(path, h, "x_true", lambda _: SparseSignal(**parts))
     records = []

@@ -389,6 +389,10 @@ class TestDiagnose:
             tmp_path, capsys, "pruned_support", lambda h, r: r.update(pruned_support=[0, 2**64])
         )
 
+    def test_truth_k_other_than_header_k_exits_2_naming_the_field(self, tmp_path, capsys):
+        # diagnose used to take k from x_true and report "k": 3 on a k = 2 trace
+        self.assert_rejected_naming(tmp_path, capsys, "x_true.k", lambda h, r: h["x_true"].update(k=3))
+
     @pytest.mark.parametrize(
         "field, edit",
         [

@@ -388,6 +388,20 @@ class TestRunTrial:
         b = run_trial(D, 3, 1.0, (Algorithm.SP,), seed=55, halting="fixed:4")
         assert a[0].squared_error == b[0].squared_error
 
+    def test_well_conditioned_sweep_never_calls_lstsq(self, monkeypatch):
+        # every solve on a certified support takes the Cholesky path; a silent fall-through
+        # to lstsq would keep every result right and lose the speed-up
+        def no_lstsq(*args, **kwargs):
+            raise AssertionError("np.linalg.lstsq called on a well-conditioned support")
+
+        monkeypatch.setattr(np.linalg, "lstsq", no_lstsq)
+        D = generate_dictionary(128, 256, dictionary_seed(20240817))
+        algs = (Algorithm.SP, Algorithm.COSAMP, Algorithm.IHT, Algorithm.ORACLE)
+        for k in (5, 10, 15):
+            for i in range(4):
+                records = run_trial(D, k, 1.0, algs, trial_seed(20240817, k, 1.0, i))
+                assert [r.error for r in records] == [None] * len(algs)
+
     def test_gram_built_once_per_dictionary(self, monkeypatch):
         built = []
         gram = Dictionary.gram

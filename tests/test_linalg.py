@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from sparselab.errors import NonFinite, RankDeficient, ZeroColumn
 from sparselab.linalg import (
+    GRAM_EIG_FLOOR,
     Dictionary,
     SparseSignal,
     SupportSet,
@@ -325,6 +326,73 @@ class TestLeastSquares:
         y = np.random.default_rng(10).standard_normal(9)
         r = y - D.columns(T) @ least_squares_on_support(D, T, y)
         assert np.allclose(D.columns(T).T @ r, 0.0, atol=1e-10)
+
+
+def _counting_lstsq(monkeypatch):
+    """Patch np.linalg.lstsq to count its calls; returns the list it appends to."""
+    calls, lstsq = [], np.linalg.lstsq
+    monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **kw: calls.append(1) or lstsq(*a, **kw))
+    return calls
+
+
+class TestGramLeastSquares:
+    """On D.with_gram(): a certified support is solved by Cholesky, any other one exactly as on D."""
+
+    def test_certified_support_agrees_with_lstsq_without_calling_it(self, monkeypatch):
+        D = random_dictionary(40, 80, 11)
+        T = SupportSet((1, 7, 30, 52, 79))
+        y = np.random.default_rng(12).standard_normal(40)
+        want = least_squares_on_support(D, T, y)
+        calls = _counting_lstsq(monkeypatch)
+        # z = D^T y is read on T; without it the solve forms D_T^T y itself
+        for z in (D.entries.T @ y, None):
+            got = least_squares_on_support(D.with_gram(), T, y, z)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        assert least_squares_on_support(D.with_gram(), SupportSet(()), y).shape == (0,)
+        assert calls == []
+
+    def test_support_wider_than_rows_rejected(self):
+        D = random_dictionary(3, 8, 8).with_gram()
+        with pytest.raises(RankDeficient, match="exceeds measurement dimension"):
+            least_squares_on_support(D, SupportSet((0, 1, 2, 3)), np.ones(3))
+
+
+class TestGramRankOracle:
+    """Brute force: near-duplicate atoms 1e-14 to 1e-1 apart, solved on D.with_gram() and on D."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_rank_decision_and_coefficients_match_the_plain_dictionary(self, seed, monkeypatch):
+        rng = np.random.default_rng(seed)
+        calls = _counting_lstsq(monkeypatch)
+        T = SupportSet((0, 3, 4, 9, 17))
+        outcomes = set()
+        # decades, then steps across the floor, where lambda_min ~ separation^2 / 2 = 1e-4
+        for separation in np.r_[10.0 ** np.arange(-14, 0), 0.012, 0.014, 0.016, 0.02]:
+            A = rng.standard_normal((16, 24))
+            atom = A[:, 3] / np.linalg.norm(A[:, 3])
+            u = A[:, 4] - (A[:, 4] @ atom) * atom
+            A[:, 4] = atom + separation * u / np.linalg.norm(u)
+            D = normalize_columns(A)
+            y = rng.standard_normal(16)
+            z = D.entries.T @ y
+            try:
+                want = least_squares_on_support(D, T, y)
+            except RankDeficient as exc:
+                with pytest.raises(RankDeficient) as gram_exc:
+                    least_squares_on_support(D.with_gram(), T, y, z)
+                assert str(gram_exc.value) == str(exc)
+                outcomes.add("rank deficient")
+                continue
+            before = len(calls)
+            got = least_squares_on_support(D.with_gram(), T, y, z)
+            assert np.linalg.norm(got - want) <= 1e-8 * np.linalg.norm(want)
+            outcomes.add("cholesky" if len(calls) == before else "lstsq")
+            # lambda_min(G_TT) <= ||d_3 - d_4||^2 / 2 (interlacing): below the floor
+            # the certificate must fail, and the answer is the plain one, bit for bit
+            if np.sum((D.entries[:, 3] - D.entries[:, 4]) ** 2) / 2 < GRAM_EIG_FLOOR / 2:
+                assert len(calls) == before + 1
+                assert got.tobytes() == want.tobytes()
+        assert outcomes == {"rank deficient", "lstsq", "cholesky"}
 
 
 class TestTopK:

@@ -298,15 +298,22 @@ class TestDeterminism:
         assert a.estimate.support == b.estimate.support
 
 
-# IHT's iterate is x + D^T r, so its values carry the correlation's rounding:
-# through the Gram they may differ from the dense product's by this, relative
-IHT_GRAM_RTOL = 1e-12
+# Through the Gram, IHT's iterate x + D^T r carries the correlation's rounding
+# and SP/CoSaMP solve the normal equations by a Cholesky factor instead of
+# factoring D_T: values may differ from the plain dictionary's by this, relative
+GRAM_RTOL = 1e-12
+
+
+def _close(a, b):
+    return np.max(np.abs(a - b), initial=0.0) <= GRAM_RTOL * np.max(np.abs(a), initial=0.0)
 
 
 class TestGramCorrelation:
-    """Oracle: solving on D.with_gram() against the dense correlation D^T r of a plain D."""
+    """Oracle: solving on D.with_gram() against the dense correlation and orthogonal solve of a plain D."""
 
-    @pytest.mark.parametrize("m, n, k", [(24, 48, 2), (64, 128, 4), (128, 256, 6), (256, 512, 10)])
+    @pytest.mark.parametrize(
+        "m, n, k", [(24, 48, 2), (64, 128, 4), (128, 256, 6), (256, 512, 10), (512, 1024, 20)]
+    )
     @pytest.mark.parametrize("name", ["sp", "cosamp", "iht"])
     @pytest.mark.parametrize("halting", [FixedIterations(8), PracticalLogRule(0.3)], ids=["fixed", "practical"])
     def test_same_supports_and_estimates_as_the_dense_path(self, m, n, k, name, halting):
@@ -324,17 +331,11 @@ class TestGramCorrelation:
                     b.merged_support,
                     b.pruned_support,
                 )
-                if name == "iht":
-                    scale = np.max(np.abs(a.estimate_values))
-                    assert np.max(np.abs(a.estimate_values - b.estimate_values)) <= IHT_GRAM_RTOL * scale
-                    assert b.residual_norm == pytest.approx(a.residual_norm, rel=IHT_GRAM_RTOL)
-                else:
-                    assert a.coefficients.tobytes() == b.coefficients.tobytes()
-                    assert a.estimate_values.tobytes() == b.estimate_values.tobytes()
-                    assert a.residual_norm == b.residual_norm
+                assert _close(a.coefficients, b.coefficients)
+                assert _close(a.estimate_values, b.estimate_values)
+                assert b.residual_norm == pytest.approx(a.residual_norm, rel=GRAM_RTOL)
             assert dense.estimate.support == gram.estimate.support
-            if name != "iht":
-                assert dense.estimate.values.tobytes() == gram.estimate.values.tobytes()
+            assert _close(dense.estimate.values, gram.estimate.values)
 
     @pytest.mark.parametrize("name", ["sp", "cosamp", "iht"])
     def test_plain_dictionary_never_builds_a_gram(self, name, monkeypatch):
@@ -520,6 +521,14 @@ class TestTraceRoundTrip:
         assert res.trace == ()
         with pytest.raises(ValueError, match="no iterations"):
             write_trace(tmp_path / "oracle.jsonl", res, D)
+
+    def test_truth_of_another_k_is_not_written(self, tmp_path):
+        # read_trace rejects a header k that differs from x_true.k, so the writer refuses one too
+        D = random_dictionary(10, 18, 44)
+        x = generate_signal(18, 2, 45)
+        res = subspace_pursuit(D, D.entries @ x.values, PursuitConfig(k=3, halting=FixedIterations(2)), x_true=x)
+        with pytest.raises(ValueError, match="x_true.k = 2 differs from the solver's k = 3"):
+            write_trace(tmp_path / "t.jsonl", res, D, x_true=x)
 
 
 class TestRecurrenceDiagnostics:
