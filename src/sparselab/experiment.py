@@ -222,12 +222,14 @@ def run_trial(D, k, sigma, algorithms, seed, halting="practical"):
     LinAlgError from numpy) is recorded as the error category on that
     record rather than aborting the sweep. The solvers run on D.with_gram():
     trials share a dictionary, so its Gram matrix is built once and reused.
+    They share z = D^T y too, computed once per trial.
     """
     D = D.with_gram()
     rng = np.random.default_rng(seed)
     x_values, true_support = _spikes_from_rng(rng, D.n_atoms, k)
     e = sigma * rng.standard_normal(D.m)
-    y = D.entries @ x_values + e
+    y = D.columns(true_support) @ x_values[true_support.as_array()] + e
+    z = D.entries.T @ y
 
     oracle_result = oracle_estimator(D, y, true_support)
     oracle_sq = float(np.sum((x_values - oracle_result.estimate.values) ** 2))
@@ -239,7 +241,7 @@ def run_trial(D, k, sigma, algorithms, seed, halting="practical"):
         sq, recovered, iterations, error = oracle_sq, True, 0, None
         if algorithm is not Algorithm.ORACLE:
             try:
-                result = _SOLVERS[algorithm](D, y, cfg)
+                result = _SOLVERS[algorithm](D, y, cfg, z=z)
             except (SparseLabError, np.linalg.LinAlgError) as exc:
                 sq, recovered = math.nan, False
                 error = exc.category if isinstance(exc, SparseLabError) else "LinAlgError"

@@ -14,9 +14,11 @@ written to traces, and as a read-only int64 array, the form that indexes.
 A dictionary can also carry its Gram matrix G = D^T D (with_gram). Solvers
 then correlate a residual y - D_T c with every atom as z - c G_T, z = D^T y,
 reading |T| rows of G instead of all m N entries, and solve least squares on
-T through the Cholesky factor of G_TT instead of factoring D_T, so their
-coefficients can differ from the plain dictionary's in the last bits. That
-pays only when many solves share one dictionary, as a sweep's trials do.
+T from the normal equations G_TT c = z_T wherever G_TT - GRAM_EIG_FLOOR I
+has a Cholesky factor (on D_T elsewhere), so their coefficients can differ
+from the plain dictionary's in the last bits. That pays only when many
+solves share one dictionary, as a sweep's trials do, and one z, as the
+solvers of a sweep trial do.
 """
 
 from dataclasses import dataclass, field
@@ -242,18 +244,15 @@ def normalize_columns(matrix):
 
 
 def _cholesky_solve(D, T, y, z):
-    """c with G_TT c = D_T^T y from the Cholesky factor L of G_TT, or None where L
-    does not certify lambda_min(G_TT) >= 1 / ||L^-1||_F^2 >= GRAM_EIG_FLOOR."""
+    """c with G_TT c = D_T^T y, or None unless G_TT - GRAM_EIG_FLOOR I has a Cholesky
+    factor, which certifies lambda_min(G_TT) >= GRAM_EIG_FLOOR up to rounding near 1e-14."""
     t = T.as_array()
+    g = D._gram[t[:, None], t]
     try:
-        inv = np.linalg.inv(np.linalg.cholesky(D._gram[t[:, None], t]))
+        np.linalg.cholesky(g - GRAM_EIG_FLOOR * np.eye(t.size))
     except np.linalg.LinAlgError:
         return None
-    # 1 / lambda_min(G_TT) = ||L^-1||_2^2 <= ||L^-1||_F^2; `not <=` also refuses a NaN
-    if not np.vdot(inv, inv) <= 1.0 / GRAM_EIG_FLOOR:
-        return None
-    b = D.columns(T).T @ y if z is None else z[t]
-    return inv.T @ (inv @ b)
+    return np.linalg.solve(g, D.columns(T).T @ y if z is None else z[t])
 
 
 def least_squares_on_support(D, T, y, z=None):
@@ -261,9 +260,9 @@ def least_squares_on_support(D, T, y, z=None):
 
     Returns the coefficient vector of length |T| (empty T gives an empty
     vector). On a dictionary carrying its Gram (with_gram) the normal
-    equations G_TT c = D_T^T y are solved by the Cholesky factor of G_TT,
-    reading D_T^T y from z = D^T y when given; that answer is returned only
-    when the factor certifies lambda_min(G_TT) >= GRAM_EIG_FLOOR. Every other
+    equations G_TT c = D_T^T y are solved, reading D_T^T y from z = D^T y
+    when given, only when G_TT - GRAM_EIG_FLOOR I has a Cholesky factor,
+    which certifies lambda_min(G_TT) >= GRAM_EIG_FLOOR. Every other
     support, and every support on a plain dictionary, is solved by
     orthogonal factorization of D_T, which raises RankDeficient when the
     smallest singular value of D_T relative to the largest is below 1e-12,

@@ -16,9 +16,11 @@ The asymmetry between the SP and CoSaMP final steps is deliberate.
 recurrence_diagnostics replays a trace against the per-iteration error
 inequalities that drive each solver's accuracy guarantee.
 
-On a dictionary that carries its Gram matrix (Dictionary.with_gram) every
-correlation after the first is taken from G, and every restricted least
-squares is solved through the Cholesky factor of G_TT, so the results can
+Each solver takes z = D^T y, its first correlation, as a keyword when the
+caller already has it. On a dictionary that carries its Gram matrix
+(Dictionary.with_gram) every later correlation is taken from G, and every
+least squares on a support T where G_TT - GRAM_EIG_FLOOR I has a Cholesky
+factor is solved from the normal equations G_TT c = z_T, so the results can
 differ from the plain dictionary's in the last bits: IHT's values, SP's and
 CoSaMP's coefficients, and in principle the atoms picked at a tie.
 """
@@ -159,8 +161,8 @@ def _error_vs(x_true, n, support, values):
 _RULES = {Algorithm.SP: (1, True), Algorithm.COSAMP: (2, False), Algorithm.IHT: (None, False)}
 
 
-def _pursue(algorithm, D, y, cfg, x_true):
-    """The iteration all three solvers share, driven by their _RULES entry."""
+def _pursue(algorithm, D, y, cfg, x_true, z):
+    """The iteration all three solvers share, driven by their _RULES entry; z is D^T y or None."""
     grow, resolve = _RULES[algorithm]
     _check_dims(D, cfg.k, algorithm)
     y = np.asarray(y, dtype=np.float64)
@@ -170,7 +172,7 @@ def _pursue(algorithm, D, y, cfg, x_true):
     support = SupportSet(())
     values = np.zeros(0)
     # D^T y is also the first iteration's correlation, with the residual y
-    z = corr = D.entries.T @ y
+    z = corr = D.entries.T @ y if z is None else z
     trace = []
     for ell in range(1, n_iters + 1):
         if ell > 1:
@@ -213,7 +215,7 @@ def _pursue(algorithm, D, y, cfg, x_true):
     )
 
 
-def subspace_pursuit(D, y, cfg, x_true=None):
+def subspace_pursuit(D, y, cfg, x_true=None, *, z=None):
     """Recover a k-sparse representation of y by subspace pursuit.
 
     Per iteration: pick the k atoms most correlated with the residual, merge
@@ -229,34 +231,37 @@ def subspace_pursuit(D, y, cfg, x_true=None):
     cfg : PursuitConfig
     x_true : SparseSignal, optional
         Ground truth; when given, traces carry the per-iteration error.
+    z : ndarray, shape (N,), optional
+        D^T y when the caller already has it.
 
     Returns
     -------
     PursuitResult
     """
-    return _pursue(Algorithm.SP, D, y, cfg, x_true)
+    return _pursue(Algorithm.SP, D, y, cfg, x_true, z)
 
 
-def cosamp(D, y, cfg, x_true=None):
+def cosamp(D, y, cfg, x_true=None, *, z=None):
     """Recover a k-sparse representation of y by compressive sampling MP.
 
     Per iteration: pick the 2k atoms most correlated with the residual,
     merge, solve least squares on the merged support, prune to the k largest
     coefficients, and keep those coefficient values as the estimate (no
-    re-solve). The residual is y minus the estimate's contribution.
+    re-solve). The residual is y minus the estimate's contribution. z is
+    D^T y when the caller already has it.
     """
-    return _pursue(Algorithm.COSAMP, D, y, cfg, x_true)
+    return _pursue(Algorithm.COSAMP, D, y, cfg, x_true, z)
 
 
-def iht(D, y, cfg, x_true=None):
+def iht(D, y, cfg, x_true=None, *, z=None):
     """Recover a k-sparse representation of y by iterative hard thresholding.
 
     Per iteration: unit-step gradient update x + D*(y - D x), then keep the
     k largest magnitudes. Raises Divergence when the iterate norm exceeds
     1e6 ||y||_2, which signals that the operator-norm precondition of the
-    unit step is violated.
+    unit step is violated. z is D^T y when the caller already has it.
     """
-    return _pursue(Algorithm.IHT, D, y, cfg, x_true)
+    return _pursue(Algorithm.IHT, D, y, cfg, x_true, z)
 
 
 def oracle_estimator(D, y, T):

@@ -356,7 +356,7 @@ class TestRunTrial:
         assert math.isnan(records[0].squared_error)
 
     def test_linalg_error_recorded_not_raised(self, monkeypatch):
-        def failing_solver(D, y, cfg):
+        def failing_solver(D, y, cfg, *, z=None):
             raise np.linalg.LinAlgError("SVD did not converge")
 
         monkeypatch.setitem(experiment._SOLVERS, Algorithm.SP, failing_solver)

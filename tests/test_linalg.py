@@ -13,6 +13,7 @@ from sparselab.linalg import (
     SupportSet,
     export_dictionary_csv,
     import_dictionary_csv,
+    _cholesky_solve,
     _copy_in_blocks,
     least_squares_on_support,
     normalize_columns,
@@ -393,6 +394,58 @@ class TestGramRankOracle:
                 assert len(calls) == before + 1
                 assert got.tobytes() == want.tobytes()
         assert outcomes == {"rank deficient", "lstsq", "cholesky"}
+
+
+class TestShiftedCholeskyCertificate:
+    """Brute force: _cholesky_solve answers exactly where eigvalsh(G_TT).min() >= GRAM_EIG_FLOOR."""
+
+    # an eigenvalue this close to the floor may land on either side through rounding
+    BAND = 1e-10
+
+    def test_answers_exactly_above_the_floor_and_agrees_with_lstsq(self):
+        rng = np.random.default_rng(2026)
+        m, n = 512, 1024
+        A = rng.standard_normal((m, n))
+        A /= np.linalg.norm(A, axis=0)
+        fresh = iter(rng.permutation(n).tolist())
+        supports = []
+        # near-duplicate pairs: atom j of T turned toward atom i until lambda_min(G_TT) is the target;
+        # the targets 1e-9 either side of the floor test the certificate's edge
+        for target in (1e-6, 1e-5, GRAM_EIG_FLOOR - 1e-9, GRAM_EIG_FLOOR + 1e-9, 1e-3, 1e-2):
+            for size in (2, 8, 30):
+                T = sorted(next(fresh) for _ in range(size))
+                i, j = T[0], T[1]
+                u = rng.standard_normal(m)
+                u -= (u @ A[:, i]) * A[:, i]
+                u /= np.linalg.norm(u)
+                lo, hi = 0.0, np.pi / 2
+                for _ in range(60):
+                    angle = (lo + hi) / 2
+                    A[:, j] = np.cos(angle) * A[:, i] + np.sin(angle) * u
+                    if np.linalg.eigvalsh(A[:, T].T @ A[:, T])[0] < target:
+                        lo = angle
+                    else:
+                        hi = angle
+                supports.append(T)
+        D = normalize_columns(A).with_gram()
+        supports += [np.sort(rng.choice(n, size, replace=False)) for size in range(1, 41)]
+        y = rng.standard_normal(m)
+        z = D.entries.T @ y
+        answered = []
+        for T in map(SupportSet, supports):
+            t = T.as_array()
+            lam = np.linalg.eigvalsh(D._gram[t[:, None], t])[0]
+            assert abs(lam - GRAM_EIG_FLOOR) > self.BAND
+            got = _cholesky_solve(D, T, y, z)
+            assert (got is None) == (lam < GRAM_EIG_FLOOR)
+            if got is not None:
+                want = np.linalg.lstsq(D.columns(T), y, rcond=None)[0]
+                # the normal equations' error grows with cond(G_TT), at most about 1e4 here
+                rtol = 1e-12 if lam >= 1e-3 else 1e-10
+                assert np.linalg.norm(got - want) <= rtol * np.linalg.norm(want)
+                answered.append(lam)
+        assert 0 < len(answered) < len(supports)
+        assert min(answered) < 2 * GRAM_EIG_FLOOR
 
 
 class TestTopK:

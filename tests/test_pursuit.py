@@ -350,6 +350,29 @@ class TestGramCorrelation:
         assert res.iterations_run == 4 and D._gram_form is None
 
 
+def _record_bits(record):
+    return tuple(v.tobytes() if isinstance(v, np.ndarray) else v for v in (getattr(record, f.name) for f in fields(record)))
+
+
+class TestSharedCorrelation:
+    """z = D^T y handed in, as a sweep trial hands it to its three solvers, against each solver forming it."""
+
+    @pytest.mark.parametrize("gram", [False, True], ids=["plain", "gram"])
+    @pytest.mark.parametrize("name", ["sp", "cosamp", "iht"])
+    def test_given_z_changes_no_bit(self, name, gram):
+        D = random_dictionary(128, 256, 44)
+        D = D.with_gram() if gram else D
+        x = generate_signal(256, 6, 45)
+        y = D.entries @ x.values + 0.5 * np.random.default_rng(46).standard_normal(128)
+        cfg = PursuitConfig(k=6, halting=PracticalLogRule(0.5))
+        own = SOLVERS[name](D, y, cfg, x_true=x)
+        shared = SOLVERS[name](D, y, cfg, x_true=x, z=D.entries.T @ y)
+        assert own.iterations_run > 1
+        assert own.estimate.support == shared.estimate.support
+        assert own.estimate.values.tobytes() == shared.estimate.values.tobytes()
+        assert list(map(_record_bits, own.trace)) == list(map(_record_bits, shared.trace))
+
+
 class TestTraceRoundTrip:
     @pytest.mark.parametrize("name", ["sp", "cosamp", "iht"])
     def test_all_fields_survive(self, tmp_path, name):
