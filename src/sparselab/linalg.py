@@ -13,12 +13,12 @@ written to traces, and as a read-only int64 array, the form that indexes.
 
 A dictionary can also carry its Gram matrix G = D^T D (with_gram). Solvers
 then correlate a residual y - D_T c with every atom as z - c G_T, z = D^T y,
-reading |T| rows of G instead of all m N entries, and solve least squares on
-T from the normal equations G_TT c = z_T wherever G_TT - GRAM_EIG_FLOOR I
-has a Cholesky factor (on D_T elsewhere), so their coefficients can differ
-from the plain dictionary's in the last bits. That pays only when many
-solves share one dictionary, as a sweep's trials do, and one z, as the
-solvers of a sweep trial do.
+reading |T| rows of G instead of all m N entries and never forming the
+residual, and solve least squares on T from the normal equations
+G_TT c = z_T wherever G_TT - GRAM_EIG_FLOOR I has a Cholesky factor (on D_T
+elsewhere), so their coefficients can differ from the plain dictionary's in
+the last bits. That pays only when many solves share one dictionary, as a
+sweep's trials do, and one z, as the solvers of a sweep trial do.
 """
 
 from dataclasses import dataclass, field
@@ -123,15 +123,15 @@ class Dictionary:
             object.__setattr__(self, "_gram_form", form)
         return self._gram_form
 
-    def residual_correlation(self, z, support, coef, residual):
-        """D^T residual for residual = y - D_T coef, given z = D^T y.
+    def residual_correlation(self, y, z, support, coef):
+        """D^T (y - D_T coef), given z = D^T y.
 
-        With a Gram this is z - coef G_T, from G's contiguous rows on the
-        support (G is symmetric); it agrees with entries.T @ residual, the
-        result without one, up to rounding.
+        Only a plain dictionary forms the residual y - D_T coef. With a Gram
+        this is z - coef G_T, from G's contiguous rows on the support (G is
+        symmetric); it agrees with the plain result up to rounding.
         """
         if self._gram is None:
-            return self.entries.T @ residual
+            return self.entries.T @ (y - self.columns(support) @ coef)
         return z - coef @ self._gram[support.as_array()]
 
 

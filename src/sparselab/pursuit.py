@@ -18,11 +18,11 @@ inequalities that drive each solver's accuracy guarantee.
 
 Each solver takes z = D^T y, its first correlation, as a keyword when the
 caller already has it. On a dictionary that carries its Gram matrix
-(Dictionary.with_gram) every later correlation is taken from G, and every
-least squares on a support T where G_TT - GRAM_EIG_FLOOR I has a Cholesky
-factor is solved from the normal equations G_TT c = z_T, so the results can
-differ from the plain dictionary's in the last bits: IHT's values, SP's and
-CoSaMP's coefficients, and in principle the atoms picked at a tie.
+(Dictionary.with_gram) every later correlation is taken from G, forming no
+residual, and every least squares on a support T where G_TT - GRAM_EIG_FLOOR I
+has a Cholesky factor is solved from the normal equations G_TT c = z_T, so
+the results can differ from the plain dictionary's in the last bits: IHT's
+values, SP's and CoSaMP's coefficients, and in principle the atoms at a tie.
 """
 
 import base64
@@ -109,14 +109,14 @@ class PursuitConfig:
 @dataclass(frozen=True, eq=False)
 class IterationRecord:
     """One iteration. Its number is its 1-based position in the trace; the support
-    before it is the previous record's pruned_support, or empty for the first."""
+    before it is the previous record's pruned_support, or empty for the first.
+    The merged support, that support united with delta_support, is derived, not
+    stored; `coefficients` are on it (on pruned_support for IHT, which adds none)."""
 
     delta_support: SupportSet | None
-    merged_support: SupportSet | None
     pruned_support: SupportSet
     coefficients: np.ndarray
     estimate_values: np.ndarray
-    residual_norm: float
     estimate_error: float | None
 
 
@@ -176,12 +176,12 @@ def _pursue(algorithm, D, y, cfg, x_true, z):
     trace = []
     for ell in range(1, n_iters + 1):
         if ell > 1:
-            corr = D.residual_correlation(z, support, values, y_r)
+            corr = D.residual_correlation(y, z, support, values)
         if grow is None:
             x_p = _dense(n, support, values)
             x_p += corr
             pruned = top_k_support(x_p, cfg.k)
-            delta_support = merged = None
+            delta_support = None
             coefficients = values = x_p[pruned.as_array()]
             if float(np.linalg.norm(values)) > DIVERGENCE_FACTOR * y_norm:
                 raise Divergence(
@@ -193,15 +193,12 @@ def _pursue(algorithm, D, y, cfg, x_true, z):
             coefficients = least_squares_on_support(D, merged, y, z)
             pruned, kept_positions = _prune(merged, coefficients, cfg.k)
             values = least_squares_on_support(D, pruned, y, z) if resolve else coefficients[kept_positions]
-        y_r = y - D.columns(pruned) @ values
         trace.append(
             IterationRecord(
                 delta_support=delta_support,
-                merged_support=merged,
                 pruned_support=pruned,
                 coefficients=coefficients,
                 estimate_values=values,
-                residual_norm=float(np.linalg.norm(y_r)),
                 estimate_error=_error_vs(x_true, n, pruned, values),
             )
         )
@@ -325,10 +322,10 @@ def recurrence_diagnostics(
     inequalities are only guarantees when the family's condition holds (see
     condition_met); checks are evaluated and reported regardless. Past the
     SP/CoSaMP pole (delta >= 1) every rhs is +inf, so those checks hold
-    vacuously. The trace must start at its first iteration: iteration i is
-    the trace's i-th record, and the iterate before the first record is the
-    empty support with value 0, so a slice such as res.trace[2:] is read as
-    if it started from zero.
+    vacuously. Iteration i is the trace's i-th record, the iterate before the
+    first is the empty support with value 0, and each merged support is
+    derived from delta_support, so a slice such as res.trace[2:] reads
+    exactly as a trace that started from zero.
 
     Returns
     -------
@@ -356,7 +353,8 @@ def recurrence_diagnostics(
     before = SupportSet(()), np.zeros(0)
     for ell, r in enumerate(trace, start=1):
         if algorithm is Algorithm.SP:
-            miss_prev, miss_merged, miss_pruned = map(miss, (before[0], r.merged_support, r.pruned_support))
+            merged = before[0].union(r.delta_support)
+            miss_prev, miss_merged, miss_pruned = map(miss, (before[0], merged, r.pruned_support))
             merge, prune, composed = steps
             inequalities = (
                 ("merged_support_miss", miss_merged, merge, miss_prev),
@@ -549,18 +547,19 @@ def read_trace(path):
             raise ValueError(f"{path}: field 'x_true.k': {parts['k']}, but the header's 'k' is {k}")
         # the signal's own checks (support within values, zero off it, k) name x_true
         x = _field(path, h, "x_true", lambda _: SparseSignal(**parts))
-    records = []
+    records, before = [], SupportSet(())
     for number, obj in lines[1:]:
         if not isinstance(obj, dict) or obj.get("record") != "iteration":
             raise ValueError(f"{path}: line {number} is not an iteration record")
         values = {name: _field(path, obj, name, read, optional) for name, (read, optional) in _ITERATION_FIELDS.items()}
-        pruned, merged = values["pruned_support"], values["merged_support"]
+        pruned, delta = values["pruned_support"], values["delta_support"]
         if len(pruned) != k:
             raise ValueError(f"{path}: field 'k': {k}, but line {number} prunes to {len(pruned)} atoms")
-        sizes = {"coefficients": len(pruned if merged is None else merged), "estimate_values": k}
-        for name in ("delta_support", "merged_support", "pruned_support", *sizes):
+        sizes = {"coefficients": len(pruned if delta is None else before.union(delta)), "estimate_values": k}
+        for name in ("delta_support", "pruned_support", *sizes):
             _field(path, values, name, lambda items: _check_size(items, sizes.get(name), n), optional=True)
         records.append(IterationRecord(**values))
+        before = pruned
     return TraceBundle(
         algorithm=_field(path, h, "algorithm", Algorithm),
         k=k,

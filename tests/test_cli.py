@@ -366,7 +366,7 @@ class TestDiagnose:
             ("x_true.support", lambda h, r: h["x_true"].pop("support")),
             ("k", lambda h, r: h.update(k="2")),
             ("pruned_support", lambda h, r: r.update(pruned_support="0,1")),
-            ("residual_norm", lambda h, r: r.update(residual_norm=[1.0])),
+            ("estimate_error", lambda h, r: r.update(estimate_error=[1.0])),
             ("estimate_values", lambda h, r: r.update(estimate_values=None)),
             # arrays as lists of floats: the format of older sparselab traces
             ("dictionary", lambda h, r: h.update(dictionary=np.eye(12, 18).tolist())),
@@ -400,7 +400,6 @@ class TestDiagnose:
             ("x_true", lambda h, r: h["x_true"].update(support=[0, 18])),
             ("noise", lambda h, r: h.update(noise=floats(np.zeros(10)))),
             ("pruned_support", lambda h, r: r.update(pruned_support=[1, 99])),
-            ("merged_support", lambda h, r: r.update(merged_support=r["merged_support"] + [99])),
             ("delta_support", lambda h, r: r.update(delta_support=[18, 19])),
             ("estimate_values", lambda h, r: r.update(estimate_values=floats(np.ones(3)))),
             ("coefficients", lambda h, r: r.update(coefficients=floats(np.ones(5)))),
@@ -415,7 +414,6 @@ class TestDiagnose:
             "truth_support_past_n_atoms",
             "noise_length",
             "pruned_support_past_n_atoms",
-            "merged_support_past_n_atoms",
             "delta_support_past_n_atoms",
             "estimate_values_length",
             "coefficients_length",
@@ -429,6 +427,18 @@ class TestDiagnose:
     def test_inconsistent_trace_exits_2_naming_the_field(self, tmp_path, capsys, field, edit):
         # each used to exit 0, or exit 2 with a message that named no file or field
         self.assert_rejected_naming(tmp_path, capsys, field, edit)
+
+    def test_stored_merged_support_is_ignored(self, tmp_path, capsys):
+        # the merged support is derived from the previous pruned support and delta_support;
+        # a stored one that leaves out every true atom used to fail merged_support_miss
+        path = self.make_trace(tmp_path, well_conditioned=True)
+        argv = ("diagnose", "--in", str(path), "--delta", "0.1")
+        clean = run_cli(capsys, *argv)
+        header, *records = (json.loads(line) for line in path.read_text().splitlines())
+        records[1]["merged_support"] = sorted(set(range(12)) - set(header["x_true"]["support"]))[:4]
+        path.write_text("".join(json.dumps(obj) + "\n" for obj in (header, *records)))
+        assert run_cli(capsys, *argv) == clean
+        assert clean[0] == 0 and "merged_support_miss" in clean[1]
 
     def test_trace_without_truth_rejected(self, tmp_path, capsys):
         D = generate_dictionary(12, 18, 47)

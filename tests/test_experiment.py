@@ -402,6 +402,21 @@ class TestRunTrial:
                 records = run_trial(D, k, 1.0, algs, trial_seed(20240817, k, 1.0, i))
                 assert [r.error for r in records] == [None] * len(algs)
 
+    def test_well_conditioned_trial_gathers_two_column_blocks(self, monkeypatch):
+        # the clean signal D_T x_T and the oracle's D_T^T y; on the Gram path no solver
+        # forms a residual, and no certified least squares falls through to D_T
+        gathered = []
+        columns = Dictionary.columns
+        monkeypatch.setattr(Dictionary, "columns", lambda self, support: gathered.append(1) or columns(self, support))
+        D = generate_dictionary(128, 256, dictionary_seed(20240817))
+        algs = (Algorithm.SP, Algorithm.COSAMP, Algorithm.IHT, Algorithm.ORACLE)
+        for k in (5, 10, 15):
+            for i in range(4):
+                gathered.clear()
+                records = run_trial(D, k, 1.0, algs, trial_seed(20240817, k, 1.0, i))
+                assert [r.error for r in records] == [None] * len(algs)
+                assert len(gathered) == 2
+
     def test_gram_built_once_per_dictionary(self, monkeypatch):
         built = []
         gram = Dictionary.gram

@@ -105,9 +105,10 @@ class TestGram:
 
     def test_plain_dictionary_correlates_through_the_entries(self):
         D = random_dictionary(8, 14, 32)
-        r = np.random.default_rng(33).standard_normal(8)
-        got = D.residual_correlation(np.full(14, np.nan), SupportSet((2, 5)), np.array([1.0, -2.0]), r)
-        assert got.tobytes() == (D.entries.T @ r).tobytes()
+        y = np.random.default_rng(33).standard_normal(8)
+        T, c = SupportSet((2, 5)), np.array([1.0, -2.0])
+        got = D.residual_correlation(y, np.full(14, np.nan), T, c)
+        assert got.tobytes() == (D.entries.T @ (y - D.columns(T) @ c)).tobytes()
         assert D._gram is None
 
     @pytest.mark.parametrize("support", [(), (0,), (1, 4, 9, 13)])
@@ -118,7 +119,7 @@ class TestGram:
         T = SupportSet(support)
         c = rng.standard_normal(len(T))
         r = y - D.columns(T) @ c
-        got = D.with_gram().residual_correlation(D.entries.T @ y, T, c, r)
+        got = D.with_gram().residual_correlation(y, D.entries.T @ y, T, c)
         assert np.allclose(got, D.entries.T @ r, rtol=0, atol=1e-13)
 
     def test_pickle_drops_the_gram(self):

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from sparselab.errors import Divergence, NonFinite
 from sparselab.guarantees import cosamp_constants, iht_constants, oracle_mse_exact, rip_order, sp_constants
-from sparselab.linalg import Dictionary, SparseSignal, SupportSet, least_squares_on_support, normalize_columns
+from sparselab.linalg import Dictionary, SparseSignal, SupportSet, least_squares_on_support, normalize_columns, top_k_support
 from sparselab.metrics import worst_case_noise_correlation
 from sparselab.pursuit import (
     MAX_ITERATIONS,
@@ -144,10 +144,9 @@ class TestSubspacePursuit:
         cfg = PursuitConfig(k=3, halting=FixedIterations(4))
         res = subspace_pursuit(D, y, cfg)
         for rec in res.trace:
-            coef = least_squares_on_support(D, rec.pruned_support, y)
-            r = y - D.columns(rec.pruned_support) @ coef
+            # the recorded values leave a residual orthogonal to the pruned atoms
+            r = y - D.columns(rec.pruned_support) @ rec.estimate_values
             assert np.allclose(D.columns(rec.pruned_support).T @ r, 0.0, atol=1e-9)
-            assert rec.residual_norm == pytest.approx(float(np.linalg.norm(r)), abs=1e-9)
 
     def test_final_estimate_is_least_squares_on_final_support(self):
         D = random_dictionary(12, 24, 13)
@@ -166,11 +165,12 @@ class TestSubspacePursuit:
         res = subspace_pursuit(D, y, cfg)
         before = SupportSet(())
         for rec in res.trace:
-            merged = set(rec.merged_support)
-            assert set(before).issubset(merged)
-            assert set(rec.delta_support).issubset(merged)
-            assert len(rec.merged_support) <= 2 * 2
+            # the merged support is derived: the previous pruned support and the atoms added
+            merged = set(before) | set(rec.delta_support)
+            assert len(rec.delta_support) == 2 and len(merged) <= 2 * 2
             assert set(rec.pruned_support).issubset(merged)
+            coef = least_squares_on_support(D, SupportSet(sorted(merged)), y)
+            assert np.allclose(rec.coefficients, coef, atol=1e-12)
             before = rec.pruned_support
 
 
@@ -192,9 +192,11 @@ class TestCosamp:
         y = D.entries @ x.values + 0.3 * np.random.default_rng(21).standard_normal(16)
         cfg = PursuitConfig(k=2, halting=FixedIterations(3))
         res = cosamp(D, y, cfg)
+        before = SupportSet(())
         for rec in res.trace:
             assert len(rec.delta_support) == 4
-            assert len(rec.merged_support) <= 6
+            assert len(set(before) | set(rec.delta_support)) == len(rec.coefficients) <= 6
+            before = rec.pruned_support
 
     def test_final_values_are_pruned_merged_coefficients_not_resolved(self):
         # the estimate keeps the merged least-squares values on the pruned
@@ -206,8 +208,9 @@ class TestCosamp:
         cfg = PursuitConfig(k=2, halting=FixedIterations(3))
         res = cosamp(D, y, cfg)
         last = res.trace[-1]
-        merged_coef = least_squares_on_support(D, last.merged_support, y)
-        merged_idx = list(last.merged_support)
+        merged = res.trace[-2].pruned_support.union(last.delta_support)
+        merged_coef = least_squares_on_support(D, merged, y)
+        merged_idx = list(merged)
         kept = [merged_idx.index(i) for i in last.pruned_support]
         assert np.allclose(res.estimate.on_support(), merged_coef[kept], atol=1e-12)
         resolved = least_squares_on_support(D, last.pruned_support, y)
@@ -219,10 +222,10 @@ class TestCosamp:
         y = D.entries @ x.values + 0.3 * np.random.default_rng(27).standard_normal(16)
         cfg = PursuitConfig(k=2, halting=FixedIterations(2))
         res = cosamp(D, y, cfg)
-        rec = res.trace[-1]
+        first, second = res.trace
         # estimate_values is compact: one entry per pruned-support atom
-        r = y - D.columns(rec.pruned_support) @ rec.estimate_values
-        assert rec.residual_norm == pytest.approx(float(np.linalg.norm(r)), abs=1e-9)
+        r = y - D.columns(first.pruned_support) @ first.estimate_values
+        assert second.delta_support == top_k_support(D.entries.T @ r, 2 * 2)
 
 
 class TestIht:
@@ -326,14 +329,9 @@ class TestGramCorrelation:
             gram = SOLVERS[name](D.with_gram(), y, cfg, x_true=x)
             assert len(dense.trace) == len(gram.trace)
             for a, b in zip(dense.trace, gram.trace):
-                assert (a.delta_support, a.merged_support, a.pruned_support) == (
-                    b.delta_support,
-                    b.merged_support,
-                    b.pruned_support,
-                )
+                assert (a.delta_support, a.pruned_support) == (b.delta_support, b.pruned_support)
                 assert _close(a.coefficients, b.coefficients)
                 assert _close(a.estimate_values, b.estimate_values)
-                assert b.residual_norm == pytest.approx(a.residual_norm, rel=GRAM_RTOL)
             assert dense.estimate.support == gram.estimate.support
             assert _close(dense.estimate.values, gram.estimate.values)
 
@@ -376,7 +374,7 @@ class TestSharedCorrelation:
 class TestTraceRoundTrip:
     @pytest.mark.parametrize("name", ["sp", "cosamp", "iht"])
     def test_all_fields_survive(self, tmp_path, name):
-        # iht records no delta_support or merged_support, so None fields round-trip too
+        # iht records no delta_support, so a None field round-trips too
         D = random_dictionary(12, 20, 39)
         x = generate_signal(20, 2, 40)
         e = 0.3 * np.random.default_rng(41).standard_normal(12)
@@ -396,11 +394,9 @@ class TestTraceRoundTrip:
         assert len(bundle.records) == len(res.trace)
         for got, want in zip(bundle.records, res.trace):
             assert got.delta_support == want.delta_support
-            assert got.merged_support == want.merged_support
             assert got.pruned_support == want.pruned_support
             assert np.array_equal(got.coefficients, want.coefficients)
             assert np.array_equal(got.estimate_values, want.estimate_values)
-            assert got.residual_norm == want.residual_norm
             assert got.estimate_error == want.estimate_error
 
     def test_header_without_truth_or_noise(self, tmp_path):
@@ -476,11 +472,9 @@ class TestTraceRoundTrip:
         noise = np.array([0.1 + 0.2, -0.0])
         record = IterationRecord(
             delta_support=SupportSet((1, 3)),
-            merged_support=SupportSet((1, 3)),
             pruned_support=SupportSet((1, 3)),
             coefficients=np.array([-0.0, 1.0 + step]),
             estimate_values=np.array([tiny, -tiny]),
-            residual_norm=0.1 + 0.2,
             estimate_error=third,
         )
         estimate = SparseSignal(np.array([0.0, -0.0, 0.0, tiny]), SupportSet((1, 3)), 2)
@@ -494,7 +488,7 @@ class TestTraceRoundTrip:
         (got,) = bundle.records
         assert got.coefficients.tobytes() == record.coefficients.tobytes()
         assert got.estimate_values.tobytes() == record.estimate_values.tobytes()
-        assert (got.residual_norm, got.estimate_error, bundle.sigma) == (0.1 + 0.2, third, third)
+        assert (got.estimate_error, bundle.sigma) == (third, third)
 
     def test_file_size_is_the_binary_arrays_plus_a_small_rest(self, tmp_path):
         # base64 of the m*N float64 dictionary bytes, plus a fixed allowance
@@ -622,7 +616,7 @@ class TestRecurrenceDiagnostics:
 
             before = ()
             for r in res.trace:
-                prev, merged, pruned = miss(before), miss(r.merged_support), miss(r.pruned_support)
+                prev, merged, pruned = miss(before), miss(set(before) | set(r.delta_support)), miss(r.pruned_support)
                 expected += [
                     2 * d / (1 - d) ** 2 * prev + 2 / (1 - d) ** 2 * nc,
                     (1 + d) / (1 - d) * merged + 4 / (1 - d) * nc,
