@@ -288,7 +288,7 @@ def _delta_for(cfg, D, algorithm, k):
     """delta plugged into the bound columns for one (algorithm, k) pair."""
     if cfg.delta_mode == "threshold":
         return 0.0 if algorithm is Algorithm.ORACLE else guarantees.CONDITIONS[algorithm.value]
-    order = min(guarantees.rip_order(algorithm, k), D.n_atoms)
+    order = guarantees.rip_order(algorithm, k)
     est = rip_monte_carlo(
         D, order, trials=cfg.delta_mc_trials, seed=_digest_seed(cfg.seed, "rip", algorithm.value, order)
     )

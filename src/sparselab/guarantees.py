@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RankDeficient
+from .linalg import RANK_RCOND
 
 SP_CONDITION = 0.139
 COSAMP_CONDITION = 0.1
@@ -198,7 +199,7 @@ def oracle_mse_exact(D, T, sigma):
     if sub.shape[1] > D.m:
         raise RankDeficient(f"|T| = {sub.shape[1]} exceeds m = {D.m}")
     eigs = np.linalg.eigvalsh(sub.T @ sub)
-    if eigs[0] <= 0 or eigs[0] / eigs[-1] < 1e-24:
+    if eigs[0] <= 0 or eigs[0] / eigs[-1] < RANK_RCOND**2:  # lstsq's rank cut, on the eigenvalues of D_T* D_T
         raise RankDeficient("Gram matrix of D_T is numerically singular")
     return float(np.sum(1.0 / eigs)) * sigma * sigma
 

@@ -110,12 +110,12 @@ class PursuitConfig:
 class IterationRecord:
     """One iteration. Its number is its 1-based position in the trace; the support
     before it is the previous record's pruned_support, or empty for the first.
-    The merged support, that support united with delta_support, is derived, not
-    stored; `coefficients` are on it (on pruned_support for IHT, which adds none)."""
+    SP and CoSaMP add delta_support and solve `coefficients` on the merged support,
+    the support before united with it, derived, not stored; IHT does neither (None)."""
 
     delta_support: SupportSet | None
     pruned_support: SupportSet
-    coefficients: np.ndarray
+    coefficients: np.ndarray | None
     estimate_values: np.ndarray
     estimate_error: float | None
 
@@ -181,8 +181,8 @@ def _pursue(algorithm, D, y, cfg, x_true, z):
             x_p = _dense(n, support, values)
             x_p += corr
             pruned = top_k_support(x_p, cfg.k)
-            delta_support = None
-            coefficients = values = x_p[pruned.as_array()]
+            delta_support = coefficients = None
+            values = x_p[pruned.as_array()]
             if float(np.linalg.norm(values)) > DIVERGENCE_FACTOR * y_norm:
                 raise Divergence(
                     f"iterate norm exceeded {DIVERGENCE_FACTOR:g} * ||y|| at iteration {ell}"
@@ -451,26 +451,22 @@ def _check_size(items, size, n_atoms=math.inf):
     return items
 
 
-# every IterationRecord field, in JSON key order, with the reader for its
-# annotated type and whether the annotation admits None
+# every IterationRecord field, in JSON key order, with the reader for its annotated type
 _READERS = {
     SupportSet: lambda value: SupportSet([_INT(i) for i in _LIST(value)]),
     np.ndarray: _array_from_json,
     float: lambda value: float(_NUMBER(value)),
 }
-_ITERATION_FIELDS = {
-    f.name: (_READERS[(typing.get_args(f.type) or (f.type,))[0]], type(None) in typing.get_args(f.type))
-    for f in fields(IterationRecord)
-}
+_ITERATION_FIELDS = {f.name: _READERS[(typing.get_args(f.type) or (f.type,))[0]] for f in fields(IterationRecord)}
 
 
 def write_trace(path, result, D, x_true=None, noise=None, sigma=None):
     """Serialize a traced pursuit run as JSON lines.
 
-    The first line is a header with the full problem instance (dictionary,
-    ground truth, noise) so diagnostics can replay the file standalone; each
-    following line is one iteration. Every float array is stored as the
-    base64 of its little-endian float64 bytes, so it reads back bit-exact.
+    The first line is a header with k and the full problem instance
+    (dictionary, ground truth, noise), so diagnostics can replay the file
+    standalone; each following line is one iteration. Every float array is
+    the base64 of its little-endian float64 bytes, so it reads back bit-exact.
     """
     if not result.trace:
         raise ValueError(f"a {result.algorithm.value} result has no iterations to trace")
@@ -483,13 +479,7 @@ def write_trace(path, result, D, x_true=None, noise=None, sigma=None):
         "m": D.m,
         "n_atoms": D.n_atoms,
         "dictionary": _array_to_json(D.entries),
-        "x_true": None
-        if x_true is None
-        else {
-            "values": _array_to_json(x_true.values),
-            "support": _to_json(x_true.support),
-            "k": x_true.k,
-        },
+        "x_true": None if x_true is None else {"values": _array_to_json(x_true.values), "support": _to_json(x_true.support)},
         "noise": None if noise is None else _array_to_json(noise),
         "sigma": None if sigma is None else float(sigma),
     }
@@ -518,11 +508,12 @@ class TraceBundle:
 def read_trace(path):
     """Load a trace file written by write_trace.
 
-    A malformed file (a line that is not JSON, a missing field, a value of
-    the wrong type, an array stored as a list of floats by an older
-    sparselab, parts that disagree in size, an index past n_atoms, an
-    x_true.k other than the header's k) raises ValueError naming the file
-    and the line or field.
+    The header's algorithm decides what a record holds: SP and CoSaMP records
+    must carry delta_support and coefficients, IHT records are read without
+    them, and x_true takes the header's k. A malformed file (a line that is
+    not JSON, a missing or null field, a value of the wrong type, an array
+    stored as a list of floats by an older sparselab, parts that disagree in
+    size, an index past n_atoms) raises ValueError naming the file and the line or field.
     """
     lines = []
     with open(path) as fh:
@@ -538,30 +529,33 @@ def read_trace(path):
     h = lines[0][1]
     m, n = shape = _field(path, h, "m", _INT), _field(path, h, "n_atoms", _INT)
     k = _field(path, h, "k", _INT)
+    algorithm = _field(path, h, "algorithm", Algorithm)
+    unread = ("delta_support", "coefficients") if algorithm is Algorithm.IHT else ()
     dictionary = _field(path, h, "dictionary", lambda value: Dictionary(_array_from_json(value).reshape(shape)))
     x = _field(path, h, "x_true", _OBJECT, optional=True)
     if x is not None:
-        readers = {"values": lambda value: _check_size(_array_from_json(value), n), "support": _READERS[SupportSet], "k": _INT}
+        readers = {"values": lambda value: _check_size(_array_from_json(value), n), "support": _READERS[SupportSet]}
         parts = {key: _field(path, x, key, read, prefix="x_true.") for key, read in readers.items()}
-        if parts["k"] != k:
-            raise ValueError(f"{path}: field 'x_true.k': {parts['k']}, but the header's 'k' is {k}")
         # the signal's own checks (support within values, zero off it, k) name x_true
-        x = _field(path, h, "x_true", lambda _: SparseSignal(**parts))
+        x = _field(path, h, "x_true", lambda _: SparseSignal(**parts, k=k))
     records, before = [], SupportSet(())
     for number, obj in lines[1:]:
         if not isinstance(obj, dict) or obj.get("record") != "iteration":
             raise ValueError(f"{path}: line {number} is not an iteration record")
-        values = {name: _field(path, obj, name, read, optional) for name, (read, optional) in _ITERATION_FIELDS.items()}
+        values = {
+            name: None if name in unread else _field(path, obj, name, read, optional=name == "estimate_error")
+            for name, read in _ITERATION_FIELDS.items()
+        }
         pruned, delta = values["pruned_support"], values["delta_support"]
         if len(pruned) != k:
             raise ValueError(f"{path}: field 'k': {k}, but line {number} prunes to {len(pruned)} atoms")
-        sizes = {"coefficients": len(pruned if delta is None else before.union(delta)), "estimate_values": k}
+        sizes = {"coefficients": None if delta is None else len(before.union(delta)), "estimate_values": k}
         for name in ("delta_support", "pruned_support", *sizes):
             _field(path, values, name, lambda items: _check_size(items, sizes.get(name), n), optional=True)
         records.append(IterationRecord(**values))
         before = pruned
     return TraceBundle(
-        algorithm=_field(path, h, "algorithm", Algorithm),
+        algorithm=algorithm,
         k=k,
         dictionary=dictionary,
         records=tuple(records),

@@ -16,7 +16,7 @@ from sparselab.cli import build_parser, main
 from sparselab.experiment import generate_dictionary, generate_signal
 from sparselab.linalg import import_dictionary_csv
 from sparselab.metrics import rip_exact, rip_monte_carlo
-from sparselab.pursuit import FixedIterations, PursuitConfig, subspace_pursuit, write_trace
+from sparselab.pursuit import FixedIterations, PursuitConfig, cosamp, iht, read_trace, subspace_pursuit, write_trace
 
 
 def run_cli(capsys, *argv):
@@ -306,7 +306,7 @@ class TestLazyImport:
 
 
 class TestDiagnose:
-    def make_trace(self, tmp_path, well_conditioned=False):
+    def make_trace(self, tmp_path, well_conditioned=False, solver=subspace_pursuit):
         if well_conditioned:
             # perturbed orthonormal basis: exact delta_6 ~ 0.077 meets the
             # subspace-pursuit condition, so all checks must hold
@@ -322,7 +322,7 @@ class TestDiagnose:
         x = generate_signal(n, 2, 45)
         e = 0.1 * np.random.default_rng(46).standard_normal(12)
         y = D.entries @ x.values + e
-        res = subspace_pursuit(D, y, PursuitConfig(k=2, halting=FixedIterations(3)), x_true=x)
+        res = solver(D, y, PursuitConfig(k=2, halting=FixedIterations(3)), x_true=x)
         path = tmp_path / "trace.jsonl"
         write_trace(path, res, D, x_true=x, noise=e, sigma=0.1)
         return path
@@ -389,9 +389,27 @@ class TestDiagnose:
             tmp_path, capsys, "pruned_support", lambda h, r: r.update(pruned_support=[0, 2**64])
         )
 
-    def test_truth_k_other_than_header_k_exits_2_naming_the_field(self, tmp_path, capsys):
-        # diagnose used to take k from x_true and report "k": 3 on a k = 2 trace
-        self.assert_rejected_naming(tmp_path, capsys, "x_true.k", lambda h, r: h["x_true"].update(k=3))
+    def test_stored_truth_k_is_ignored(self, tmp_path, capsys):
+        # k is stored once, in the header; an x_true.k other than it used to exit 2
+        self.assert_ignored(tmp_path, capsys, lambda h, records: h["x_true"].update(k=3))
+
+    @pytest.mark.parametrize("field", ["delta_support", "coefficients"])
+    @pytest.mark.parametrize("solver", [subspace_pursuit, cosamp], ids=["sp", "cosamp"])
+    def test_null_merge_field_exits_2_naming_it(self, tmp_path, capsys, solver, field):
+        # SP and CoSaMP records must carry both; a null delta_support in record 1
+        # used to crash diagnostics with an AttributeError traceback and exit 1
+        self.assert_rejected_naming(tmp_path, capsys, field, lambda h, r: r.update({field: None}), solver)
+
+    def test_iht_trace_that_stores_coefficients_reads_the_same(self, tmp_path, capsys):
+        # older IHT traces store each record's estimate again as coefficients, and x_true.k
+        def older(header, records):
+            header["x_true"]["k"] = header["k"]
+            for record in records:
+                record["coefficients"] = record["estimate_values"]
+
+        self.assert_ignored(tmp_path, capsys, older, solver=iht)
+        records = read_trace(tmp_path / "trace.jsonl").records
+        assert all(r.delta_support is None and r.coefficients is None for r in records)
 
     @pytest.mark.parametrize(
         "field, edit",
@@ -431,14 +449,10 @@ class TestDiagnose:
     def test_stored_merged_support_is_ignored(self, tmp_path, capsys):
         # the merged support is derived from the previous pruned support and delta_support;
         # a stored one that leaves out every true atom used to fail merged_support_miss
-        path = self.make_trace(tmp_path, well_conditioned=True)
-        argv = ("diagnose", "--in", str(path), "--delta", "0.1")
-        clean = run_cli(capsys, *argv)
-        header, *records = (json.loads(line) for line in path.read_text().splitlines())
-        records[1]["merged_support"] = sorted(set(range(12)) - set(header["x_true"]["support"]))[:4]
-        path.write_text("".join(json.dumps(obj) + "\n" for obj in (header, *records)))
-        assert run_cli(capsys, *argv) == clean
-        assert clean[0] == 0 and "merged_support_miss" in clean[1]
+        def forge(header, records):
+            records[1]["merged_support"] = sorted(set(range(12)) - set(header["x_true"]["support"]))[:4]
+
+        assert "merged_support_miss" in self.assert_ignored(tmp_path, capsys, forge)
 
     def test_trace_without_truth_rejected(self, tmp_path, capsys):
         D = generate_dictionary(12, 18, 47)
@@ -450,8 +464,20 @@ class TestDiagnose:
         assert code == 2 and stdout == ""
         assert stderr.startswith("error[ConfigError]: trace has no stored true signal")
 
-    def assert_rejected_naming(self, tmp_path, capsys, field, edit):
-        path = self.make_trace(tmp_path)
+    def assert_ignored(self, tmp_path, capsys, edit, solver=subspace_pursuit):
+        """diagnose --delta 0.1 prints the untampered output and exits 0 after `edit`; returns that output."""
+        path = self.make_trace(tmp_path, well_conditioned=True, solver=solver)
+        argv = ("diagnose", "--in", str(path), "--delta", "0.1")
+        clean = run_cli(capsys, *argv)
+        header, *records = (json.loads(line) for line in path.read_text().splitlines())
+        edit(header, records)
+        path.write_text("".join(json.dumps(obj) + "\n" for obj in (header, *records)))
+        assert run_cli(capsys, *argv) == clean
+        assert clean[0] == 0
+        return clean[1]
+
+    def assert_rejected_naming(self, tmp_path, capsys, field, edit, solver=subspace_pursuit):
+        path = self.make_trace(tmp_path, solver=solver)
         header, record, *rest = (json.loads(line) for line in path.read_text().splitlines())
         edit(header, record)
         path.write_text("".join(json.dumps(obj) + "\n" for obj in (header, record, *rest)))

@@ -23,9 +23,9 @@ from sparselab.experiment import (
     trial_seed,
 )
 from sparselab import guarantees
-from sparselab.linalg import Dictionary
+from sparselab.linalg import Dictionary, normalize_columns
 from sparselab.metrics import mutual_coherence, rip_monte_carlo
-from sparselab.pursuit import MAX_ITERATIONS, Algorithm
+from sparselab.pursuit import MAX_ITERATIONS, Algorithm, IterationRecord
 
 
 def small_config(**overrides):
@@ -104,6 +104,13 @@ class TestConfigParsing:
             assert ("# required" in line) == (f.default is MISSING), f.name
             shown = experiment._CONFIG_KEYS[f.name](value)
             assert f.default is MISSING or shown == f.default, f.name
+
+    def test_readme_names_the_csv_columns_and_record_fields(self):
+        readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+        listed = readme.split("\nColumns: `", 1)[1].split("`", 1)[0]
+        assert [name.strip() for name in listed.split(",")] == list(CSV_COLUMNS)
+        for f in fields(IterationRecord):
+            assert f"`{f.name}`" in readme, f.name
 
     def test_bad_algorithm_name(self, tmp_path):
         path = self.write(
@@ -303,6 +310,12 @@ class TestGeneration:
         b = generate_dictionary(16, 32, 5)
         assert np.array_equal(a.entries, b.entries)
         assert np.allclose(np.linalg.norm(a.entries, axis=0), 1.0, atol=1e-12)
+
+    @pytest.mark.parametrize("m, n, seed", [(4, 6, 1), (12, 20, 39), (64, 128, 4)])
+    def test_dictionary_is_the_normalized_standard_normal_draw(self, m, n, seed):
+        # the tests build their random dictionaries by generate_dictionary, on exactly this draw
+        want = normalize_columns(np.random.default_rng(seed).standard_normal((m, n)))
+        assert generate_dictionary(m, n, seed).entries.tobytes() == want.entries.tobytes()
 
     def test_full_scale_dictionary_coherence_in_expected_band(self):
         D = generate_dictionary(512, 1024, dictionary_seed(20240817))

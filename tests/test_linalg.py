@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sparselab.errors import NonFinite, RankDeficient, ZeroColumn
+from sparselab.experiment import generate_dictionary
 from sparselab.linalg import (
     GRAM_EIG_FLOOR,
     Dictionary,
@@ -22,14 +23,9 @@ from sparselab.linalg import (
 from sparselab.pursuit import FixedIterations, PursuitConfig, read_trace, subspace_pursuit, write_trace
 
 
-def random_dictionary(m, n, seed):
-    rng = np.random.default_rng(seed)
-    return normalize_columns(rng.standard_normal((m, n)))
-
-
 class TestNormalizeColumns:
     def test_unit_norms(self):
-        D = random_dictionary(7, 13, 0)
+        D = generate_dictionary(7, 13, 0)
         assert np.allclose(np.linalg.norm(D.entries, axis=0), 1.0, atol=1e-12)
 
     def test_zero_column_rejected(self):
@@ -63,13 +59,13 @@ class TestDictionary:
             Dictionary(np.vstack([np.eye(2), np.zeros((1, 2))]))
 
     def test_entries_read_only(self):
-        D = random_dictionary(4, 6, 1)
+        D = generate_dictionary(4, 6, 1)
         with pytest.raises(ValueError):
             D.entries[0, 0] = 5.0
 
     def test_pickle_round_trip_stays_read_only(self):
         # pool workers receive the dictionary pickled; a plain unpickled ndarray is writable
-        D = random_dictionary(5, 9, 3)
+        D = generate_dictionary(5, 9, 3)
         D2 = pickle.loads(pickle.dumps(D))
         assert D2.entries.tobytes() == D.entries.tobytes()
         assert not D2.entries.flags.writeable
@@ -77,12 +73,12 @@ class TestDictionary:
             D2.entries[0, 0] = 2.0
 
     def test_columns_selects_support(self):
-        D = random_dictionary(5, 9, 2)
+        D = generate_dictionary(5, 9, 2)
         T = SupportSet((1, 4, 7))
         assert np.array_equal(D.columns(T), D.entries[:, [1, 4, 7]])
 
     def test_gram_is_symmetric_unit_diagonal(self):
-        D = random_dictionary(6, 10, 3)
+        D = generate_dictionary(6, 10, 3)
         G = D.gram()
         assert np.allclose(G, G.T, atol=1e-14)
         assert np.allclose(np.diag(G), 1.0, atol=1e-12)
@@ -92,7 +88,7 @@ class TestGram:
     """A dictionary's Gram-carrying form: built once, read-only, same entries, same correlations up to rounding."""
 
     def test_with_gram_is_built_once_and_shares_the_entries(self, monkeypatch):
-        D = random_dictionary(6, 10, 31)
+        D = generate_dictionary(6, 10, 31)
         built = []
         gram = Dictionary.gram
         monkeypatch.setattr(Dictionary, "gram", lambda self: built.append(1) or gram(self))
@@ -104,7 +100,7 @@ class TestGram:
         assert G._gram.flags.c_contiguous and not G._gram.flags.writeable
 
     def test_plain_dictionary_correlates_through_the_entries(self):
-        D = random_dictionary(8, 14, 32)
+        D = generate_dictionary(8, 14, 32)
         y = np.random.default_rng(33).standard_normal(8)
         T, c = SupportSet((2, 5)), np.array([1.0, -2.0])
         got = D.residual_correlation(y, np.full(14, np.nan), T, c)
@@ -113,7 +109,7 @@ class TestGram:
 
     @pytest.mark.parametrize("support", [(), (0,), (1, 4, 9, 13)])
     def test_gram_correlation_matches_the_dense_product(self, support):
-        D = random_dictionary(8, 14, 34)
+        D = generate_dictionary(8, 14, 34)
         rng = np.random.default_rng(35)
         y = rng.standard_normal(8)
         T = SupportSet(support)
@@ -124,7 +120,7 @@ class TestGram:
 
     def test_pickle_drops_the_gram(self):
         # pool workers receive entries only, and build their own Gram
-        G = random_dictionary(5, 9, 36).with_gram()
+        G = generate_dictionary(5, 9, 36).with_gram()
         back = pickle.loads(pickle.dumps(G))
         assert back._gram is None
         assert back.entries.tobytes() == G.entries.tobytes()
@@ -139,7 +135,7 @@ class TestLayout:
 
     @staticmethod
     def _traced_run():
-        D = random_dictionary(12, 20, 25)
+        D = generate_dictionary(12, 20, 25)
         y = np.random.default_rng(26).standard_normal(12)
         return D, subspace_pursuit(D, y, PursuitConfig(k=2, halting=FixedIterations(3)))
 
@@ -181,14 +177,14 @@ class TestLayout:
         assert np.array_equal(out, A)
 
     def test_input_is_copied_not_aliased(self):
-        D = random_dictionary(5, 8, 23)
+        D = generate_dictionary(5, 8, 23)
         source = D.entries.copy(order="F")
         built = Dictionary(source)
         source[0, 0] = 9.0
         assert built.entries[0, 0] == D.entries[0, 0]
 
     def test_columns_are_bit_equal_to_the_row_major_gather(self):
-        D = random_dictionary(9, 31, 24)
+        D = generate_dictionary(9, 31, 24)
         row_major = np.ascontiguousarray(D.entries)
         for T in (SupportSet(()), SupportSet((0,)), SupportSet((2, 3, 17, 30)), SupportSet(range(31))):
             got = D.columns(T)
@@ -297,7 +293,7 @@ class TestSparseSignal:
 
 class TestLeastSquares:
     def test_matches_normal_equations(self):
-        D = random_dictionary(8, 12, 4)
+        D = generate_dictionary(8, 12, 4)
         T = SupportSet((0, 3, 9))
         y = np.random.default_rng(5).standard_normal(8)
         A = D.columns(T)
@@ -306,7 +302,7 @@ class TestLeastSquares:
         assert np.allclose(got, expected, atol=1e-10)
 
     def test_empty_support(self):
-        D = random_dictionary(4, 6, 6)
+        D = generate_dictionary(4, 6, 6)
         out = least_squares_on_support(D, SupportSet(()), np.ones(4))
         assert out.shape == (0,)
 
@@ -318,12 +314,12 @@ class TestLeastSquares:
             least_squares_on_support(D, SupportSet((1, 2)), np.ones(4))
 
     def test_support_wider_than_rows_rejected(self):
-        D = random_dictionary(3, 8, 8)
+        D = generate_dictionary(3, 8, 8)
         with pytest.raises(RankDeficient):
             least_squares_on_support(D, SupportSet((0, 1, 2, 3)), np.ones(3))
 
     def test_residual_orthogonal_to_atoms(self):
-        D = random_dictionary(9, 14, 9)
+        D = generate_dictionary(9, 14, 9)
         T = SupportSet((2, 5, 11))
         y = np.random.default_rng(10).standard_normal(9)
         r = y - D.columns(T) @ least_squares_on_support(D, T, y)
@@ -341,7 +337,7 @@ class TestGramLeastSquares:
     """On D.with_gram(): a certified support is solved by Cholesky, any other one exactly as on D."""
 
     def test_certified_support_agrees_with_lstsq_without_calling_it(self, monkeypatch):
-        D = random_dictionary(40, 80, 11)
+        D = generate_dictionary(40, 80, 11)
         T = SupportSet((1, 7, 30, 52, 79))
         y = np.random.default_rng(12).standard_normal(40)
         want = least_squares_on_support(D, T, y)
@@ -354,7 +350,7 @@ class TestGramLeastSquares:
         assert calls == []
 
     def test_support_wider_than_rows_rejected(self):
-        D = random_dictionary(3, 8, 8).with_gram()
+        D = generate_dictionary(3, 8, 8).with_gram()
         with pytest.raises(RankDeficient, match="exceeds measurement dimension"):
             least_squares_on_support(D, SupportSet((0, 1, 2, 3)), np.ones(3))
 
@@ -536,7 +532,7 @@ class TestTopKOracle:
 
 class TestCsvRoundTrip:
     def test_header_and_exact_values(self, tmp_path):
-        D = random_dictionary(5, 8, 13)
+        D = generate_dictionary(5, 8, 13)
         path = tmp_path / "d.csv"
         export_dictionary_csv(D, path)
         first = path.read_text().splitlines()[0]

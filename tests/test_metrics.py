@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from sparselab import metrics
 from sparselab.errors import BudgetExceeded, NonFinite
+from sparselab.experiment import generate_dictionary
 from sparselab.linalg import SupportSet, normalize_columns
 from sparselab.metrics import (
     _deviation_matrix,
@@ -19,11 +20,6 @@ from sparselab.metrics import (
     rip_monte_carlo,
     worst_case_noise_correlation,
 )
-
-
-def random_dictionary(m, n, seed):
-    rng = np.random.default_rng(seed)
-    return normalize_columns(rng.standard_normal((m, n)))
 
 
 def brute_force_rip(D, k):
@@ -47,11 +43,11 @@ def brute_force_coherence(D):
 
 class TestMutualCoherence:
     def test_matches_double_loop(self):
-        D = random_dictionary(6, 12, 0)
+        D = generate_dictionary(6, 12, 0)
         assert mutual_coherence(D) == pytest.approx(brute_force_coherence(D), abs=1e-14)
 
     def test_orthonormal_columns_have_zero_coherence(self):
-        D = random_dictionary(8, 8, 1)
+        D = generate_dictionary(8, 8, 1)
         Q, _ = np.linalg.qr(D.entries)
         D = normalize_columns(Q)
         assert mutual_coherence(D) < 1e-12
@@ -68,7 +64,7 @@ def oracle_dictionaries():
     for seed in range(6):
         n = 7 + seed % 4
         m = int(np.random.default_rng(seed).integers(2, n))
-        yield pytest.param(random_dictionary(m, n, 300 + seed), id=f"random-{m}x{n}")
+        yield pytest.param(generate_dictionary(m, n, 300 + seed), id=f"random-{m}x{n}")
     base = np.random.default_rng(16).standard_normal((5, 4))
     yield pytest.param(normalize_columns(np.hstack([base, base, base[:, :1]])), id="duplicated-atoms")
     Q, _ = np.linalg.qr(np.random.default_rng(17).standard_normal((8, 8)))
@@ -104,7 +100,7 @@ class TestRipExact:
         # every support exactly once, sorted, with the largest row sum of
         # |E_T| (diagonal residue included) that a direct gather gives;
         # a small chunk size splits the prefixes into many chunks
-        D = random_dictionary(7, 11, 21)
+        D = generate_dictionary(7, 11, 21)
         absE = np.abs(_deviation_matrix(D))
         bounds, supports = [], []
         for prefixes in _prefix_chunks(11, k - 2, 40):
@@ -119,7 +115,7 @@ class TestRipExact:
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_matches_brute_force(self, k):
-        D = random_dictionary(6, 10, 2)
+        D = generate_dictionary(6, 10, 2)
         est = rip_exact(D, k)
         assert est.delta == pytest.approx(brute_force_rip(D, k), abs=1e-12)
         assert est.method == "exact_enumeration"
@@ -128,28 +124,28 @@ class TestRipExact:
     def test_k2_equals_coherence(self):
         # for a pair {i, j} the extreme eigenvalues of the 2x2 Gram block
         # are 1 +- |<d_i, d_j>|, so delta_2 is exactly the coherence
-        D = random_dictionary(9, 14, 3)
+        D = generate_dictionary(9, 14, 3)
         assert rip_exact(D, 2).delta == pytest.approx(mutual_coherence(D), abs=1e-12)
 
     def test_k1_is_negligible_for_unit_columns(self):
-        D = random_dictionary(5, 9, 4)
+        D = generate_dictionary(5, 9, 4)
         assert rip_exact(D, 1).delta < 1e-10
 
     def test_monotone_in_k(self):
-        D = random_dictionary(7, 11, 5)
+        D = generate_dictionary(7, 11, 5)
         deltas = [rip_exact(D, k).delta for k in range(1, 6)]
         assert all(a <= b + 1e-14 for a, b in zip(deltas, deltas[1:]))
 
     def test_coherence_bound(self):
         # delta_K <= (K-1) mu for every dictionary
         for seed in range(10):
-            D = random_dictionary(6, 9, seed)
+            D = generate_dictionary(6, 9, seed)
             mu = mutual_coherence(D)
             for k in (2, 3, 4):
                 assert rip_exact(D, k).delta <= (k - 1) * mu + 1e-12
 
     def test_budget_enforced(self):
-        D = random_dictionary(10, 30, 6)
+        D = generate_dictionary(10, 30, 6)
         with pytest.raises(BudgetExceeded):
             rip_exact(D, 8, budget=1000)
         # budget=None disables the guard
@@ -164,7 +160,7 @@ class TestRipExact:
     @pytest.mark.parametrize("k", [2, 4, 6])
     def test_square_bound_lies_between_defect_and_gershgorin(self, k):
         # rho(A)^2 = rho(A^2) <= ||A^2||_inf <= ||A||_inf^2 for symmetric A
-        D = random_dictionary(6, 11, 22)
+        D = generate_dictionary(6, 11, 22)
         E = _deviation_matrix(D)
         idx = np.array(list(itertools.combinations(range(11), k)))
         sub = E[idx[:, :, None], idx[:, None, :]]
@@ -175,7 +171,7 @@ class TestRipExact:
     def test_square_bound_spares_the_eigensolver(self, monkeypatch):
         # Gershgorin alone sends about 12,000 of the 100,947 order-6 supports
         # of this dictionary to the eigensolver; the squared bound, about 300
-        D = random_dictionary(20, 23, 0)
+        D = generate_dictionary(20, 23, 0)
         rows = []
         eigvalsh = np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: rows.append(len(a)) or eigvalsh(a))
@@ -187,7 +183,7 @@ class TestRipExact:
 
 class TestRipMonteCarlo:
     def test_never_exceeds_exact(self):
-        D = random_dictionary(6, 10, 8)
+        D = generate_dictionary(6, 10, 8)
         exact = rip_exact(D, 3).delta
         for seed in range(5):
             est = rip_monte_carlo(D, 3, trials=50, seed=seed)
@@ -197,13 +193,13 @@ class TestRipMonteCarlo:
 
     def test_exhaustive_sampling_matches_exact(self):
         # enough random supports to have seen all comb(10, 2) = 45 of them
-        D = random_dictionary(6, 10, 9)
+        D = generate_dictionary(6, 10, 9)
         exact = rip_exact(D, 2).delta
         est = rip_monte_carlo(D, 2, trials=4000, seed=0)
         assert est.delta == pytest.approx(exact, abs=1e-12)
 
     def test_deterministic_given_seed(self):
-        D = random_dictionary(6, 12, 10)
+        D = generate_dictionary(6, 12, 10)
         a = rip_monte_carlo(D, 3, trials=200, seed=42).delta
         b = rip_monte_carlo(D, 3, trials=200, seed=42).delta
         assert a == b
@@ -222,7 +218,7 @@ class TestWorstCaseNoiseCorrelation:
     @pytest.mark.parametrize("seed", range(8))
     def test_fast_path_matches_enumeration(self, seed):
         rng = np.random.default_rng(seed)
-        D = random_dictionary(5, 9, seed + 100)
+        D = generate_dictionary(5, 9, seed + 100)
         e = rng.standard_normal(5)
         for k in (1, 2, 3):
             fast = worst_case_noise_correlation(D, e, k)
@@ -232,12 +228,12 @@ class TestWorstCaseNoiseCorrelation:
             assert fast.argmax_support == slow.argmax_support
 
     def test_k_zero(self):
-        D = random_dictionary(4, 7, 13)
+        D = generate_dictionary(4, 7, 13)
         assert worst_case_noise_correlation(D, np.ones(4), 0).value == 0.0
 
     def test_enumeration_over_budget_raises_before_enumerating(self, monkeypatch):
         # C(30, 10) = 30,045,015 supports, past ENUMERATION_BUDGET
-        D = random_dictionary(12, 30, 16)
+        D = generate_dictionary(12, 30, 16)
         monkeypatch.setattr(metrics, "_combination_chunks", lambda *args: pytest.fail("enumeration started"))
         with pytest.raises(BudgetExceeded, match="C\\(30,10\\) = 30045015 supports exceeds budget 2000000"):
             worst_case_noise_correlation(D, np.ones(12), 10, use_enumeration=True)
@@ -247,7 +243,7 @@ class TestWorstCaseNoiseCorrelation:
         # times) the size-k worst case, because any size-pk support splits
         # into p disjoint size-k pieces
         rng = np.random.default_rng(14)
-        D = random_dictionary(6, 10, 15)
+        D = generate_dictionary(6, 10, 15)
         e = rng.standard_normal(6)
         k, p = 2, 2
         t_k = worst_case_noise_correlation(D, e, k, use_enumeration=True).value
@@ -259,7 +255,7 @@ class TestWorstCaseNoiseCorrelation:
     @settings(deadline=None, max_examples=30)
     def test_argmax_support_realizes_value(self, seed):
         rng = np.random.default_rng(seed)
-        D = random_dictionary(5, 8, seed % 1000)
+        D = generate_dictionary(5, 8, seed % 1000)
         e = rng.standard_normal(5)
         res = worst_case_noise_correlation(D, e, 2)
         realized = float(np.linalg.norm(D.columns(res.argmax_support).T @ e))
@@ -267,7 +263,7 @@ class TestWorstCaseNoiseCorrelation:
 
 
 class TestInputChecks:
-    D = random_dictionary(4, 6, 70)
+    D = generate_dictionary(4, 6, 70)
 
     @pytest.mark.parametrize(
         "call, error, message",

@@ -27,12 +27,7 @@ from sparselab.pursuit import (
     subspace_pursuit,
     write_trace,
 )
-from sparselab.experiment import generate_signal
-
-
-def random_dictionary(m, n, seed):
-    rng = np.random.default_rng(seed)
-    return normalize_columns(rng.standard_normal((m, n)))
+from sparselab.experiment import generate_dictionary, generate_signal
 
 
 def near_orthonormal_dictionary():
@@ -80,7 +75,7 @@ class TestHalting:
             FixedIterations(MAX_ITERATIONS + 1)
 
     def test_practical_rule_reads_measurement_norm(self):
-        D = random_dictionary(9, 15, 0)
+        D = generate_dictionary(9, 15, 0)
         x = generate_signal(15, 2, 1)
         y = D.entries @ x.values
         sigma = 0.5
@@ -89,7 +84,7 @@ class TestHalting:
         assert res.iterations_run == PracticalLogRule(sigma).iterations(float(np.linalg.norm(y)), 2)
 
     def test_zero_measurement_runs_one_iteration(self):
-        D = random_dictionary(8, 12, 2)
+        D = generate_dictionary(8, 12, 2)
         cfg = PursuitConfig(k=2, halting=PracticalLogRule(sigma=1.0))
         res = subspace_pursuit(D, np.zeros(8), cfg)
         assert res.iterations_run == 1
@@ -109,7 +104,7 @@ class TestExactRecovery:
 
     @pytest.mark.parametrize("name", ["sp", "cosamp", "iht"])
     def test_incoherent_noiseless_recovery(self, name):
-        D = random_dictionary(64, 128, 4)
+        D = generate_dictionary(64, 128, 4)
         x = generate_signal(128, 5, 5)
         y = D.entries @ x.values
         iters = 10 if name != "iht" else 60
@@ -119,7 +114,7 @@ class TestExactRecovery:
         assert err <= 1e-8 * np.linalg.norm(x.values)
 
     def test_estimates_are_k_sparse(self):
-        D = random_dictionary(24, 48, 6)
+        D = generate_dictionary(24, 48, 6)
         x = generate_signal(48, 3, 7)
         y = D.entries @ x.values + 0.5 * np.random.default_rng(8).standard_normal(24)
         cfg = PursuitConfig(k=3, halting=FixedIterations(5))
@@ -131,14 +126,14 @@ class TestExactRecovery:
 
 class TestSubspacePursuit:
     def test_zero_measurement_selects_leading_atoms(self):
-        D = random_dictionary(12, 18, 9)
+        D = generate_dictionary(12, 18, 9)
         cfg = PursuitConfig(k=3, halting=FixedIterations(2))
         res = subspace_pursuit(D, np.zeros(12), cfg)
         assert res.estimate.support == SupportSet((0, 1, 2))
         assert np.all(res.estimate.values == 0.0)
 
     def test_residual_orthogonal_to_pruned_atoms(self):
-        D = random_dictionary(16, 32, 10)
+        D = generate_dictionary(16, 32, 10)
         x = generate_signal(32, 3, 11)
         y = D.entries @ x.values + 0.3 * np.random.default_rng(12).standard_normal(16)
         cfg = PursuitConfig(k=3, halting=FixedIterations(4))
@@ -149,7 +144,7 @@ class TestSubspacePursuit:
             assert np.allclose(D.columns(rec.pruned_support).T @ r, 0.0, atol=1e-9)
 
     def test_final_estimate_is_least_squares_on_final_support(self):
-        D = random_dictionary(12, 24, 13)
+        D = generate_dictionary(12, 24, 13)
         x = generate_signal(24, 2, 14)
         y = D.entries @ x.values + 0.2 * np.random.default_rng(15).standard_normal(12)
         cfg = PursuitConfig(k=2, halting=FixedIterations(3))
@@ -158,7 +153,7 @@ class TestSubspacePursuit:
         assert np.allclose(res.estimate.on_support(), coef, atol=1e-12)
 
     def test_merged_support_contains_previous_and_new(self):
-        D = random_dictionary(12, 20, 16)
+        D = generate_dictionary(12, 20, 16)
         x = generate_signal(20, 2, 17)
         y = D.entries @ x.values + 0.4 * np.random.default_rng(18).standard_normal(12)
         cfg = PursuitConfig(k=2, halting=FixedIterations(3))
@@ -177,7 +172,7 @@ class TestSubspacePursuit:
 class TestDimensionGuards:
     @pytest.mark.parametrize("name, factor", [("sp", 3), ("cosamp", 4), ("iht", 3)])
     def test_rip_order_must_fit_in_m(self, name, factor):
-        D = random_dictionary(12, 24, 3)
+        D = generate_dictionary(12, 24, 3)
         y = np.random.default_rng(4).standard_normal(12)
         k = 12 // factor
         SOLVERS[name](D, y, PursuitConfig(k=k, halting=FixedIterations(1)))
@@ -187,7 +182,7 @@ class TestDimensionGuards:
 
 class TestCosamp:
     def test_delta_support_has_2k_atoms(self):
-        D = random_dictionary(16, 28, 19)
+        D = generate_dictionary(16, 28, 19)
         x = generate_signal(28, 2, 20)
         y = D.entries @ x.values + 0.3 * np.random.default_rng(21).standard_normal(16)
         cfg = PursuitConfig(k=2, halting=FixedIterations(3))
@@ -202,7 +197,7 @@ class TestCosamp:
         # the estimate keeps the merged least-squares values on the pruned
         # support; re-solving on the pruned support would give different
         # numbers whenever the discarded atoms were correlated
-        D = random_dictionary(16, 28, 22)
+        D = generate_dictionary(16, 28, 22)
         x = generate_signal(28, 2, 23)
         y = D.entries @ x.values + 0.5 * np.random.default_rng(24).standard_normal(16)
         cfg = PursuitConfig(k=2, halting=FixedIterations(3))
@@ -217,7 +212,7 @@ class TestCosamp:
         assert not np.allclose(res.estimate.on_support(), resolved, atol=1e-10)
 
     def test_residual_uses_kept_values(self):
-        D = random_dictionary(16, 28, 25)
+        D = generate_dictionary(16, 28, 25)
         x = generate_signal(28, 2, 26)
         y = D.entries @ x.values + 0.3 * np.random.default_rng(27).standard_normal(16)
         cfg = PursuitConfig(k=2, halting=FixedIterations(2))
@@ -230,7 +225,7 @@ class TestCosamp:
 
 class TestIht:
     def test_first_iteration_thresholds_correlations(self):
-        D = random_dictionary(12, 20, 28)
+        D = generate_dictionary(12, 20, 28)
         rng = np.random.default_rng(29)
         y = rng.standard_normal(12)
         cfg = PursuitConfig(k=3, halting=FixedIterations(1))
@@ -265,7 +260,7 @@ class TestIht:
 
 class TestOracleEstimator:
     def test_matches_closed_form_mse(self):
-        D = random_dictionary(16, 32, 31)
+        D = generate_dictionary(16, 32, 31)
         x = generate_signal(32, 3, 32)
         sigma = 1.0
         rng = np.random.default_rng(33)
@@ -279,7 +274,7 @@ class TestOracleEstimator:
         assert total / draws == pytest.approx(exact, rel=0.1)
 
     def test_zero_iterations_and_support_preserved(self):
-        D = random_dictionary(8, 14, 34)
+        D = generate_dictionary(8, 14, 34)
         x = generate_signal(14, 2, 35)
         res = oracle_estimator(D, D.entries @ x.values, x.support)
         assert res.iterations_run == 0
@@ -291,7 +286,7 @@ class TestOracleEstimator:
 class TestDeterminism:
     @pytest.mark.parametrize("name", ["sp", "cosamp", "iht"])
     def test_identical_reruns(self, name):
-        D = random_dictionary(20, 40, 36)
+        D = generate_dictionary(20, 40, 36)
         x = generate_signal(40, 4, 37)
         y = D.entries @ x.values + 0.2 * np.random.default_rng(38).standard_normal(20)
         cfg = PursuitConfig(k=4, halting=FixedIterations(4))
@@ -321,7 +316,7 @@ class TestGramCorrelation:
     @pytest.mark.parametrize("halting", [FixedIterations(8), PracticalLogRule(0.3)], ids=["fixed", "practical"])
     def test_same_supports_and_estimates_as_the_dense_path(self, m, n, k, name, halting):
         for seed in range(3):
-            D = random_dictionary(m, n, 100 * m + seed)
+            D = generate_dictionary(m, n, 100 * m + seed)
             x = generate_signal(n, k, seed)
             y = D.entries @ x.values + 0.3 * np.random.default_rng(seed).standard_normal(m)
             cfg = PursuitConfig(k=k, halting=halting)
@@ -330,7 +325,10 @@ class TestGramCorrelation:
             assert len(dense.trace) == len(gram.trace)
             for a, b in zip(dense.trace, gram.trace):
                 assert (a.delta_support, a.pruned_support) == (b.delta_support, b.pruned_support)
-                assert _close(a.coefficients, b.coefficients)
+                if name == "iht":
+                    assert a.coefficients is None and b.coefficients is None
+                else:
+                    assert _close(a.coefficients, b.coefficients)
                 assert _close(a.estimate_values, b.estimate_values)
             assert dense.estimate.support == gram.estimate.support
             assert _close(dense.estimate.values, gram.estimate.values)
@@ -342,7 +340,7 @@ class TestGramCorrelation:
             raise AssertionError("Gram built for a plain dictionary")
 
         monkeypatch.setattr(Dictionary, "gram", fail)
-        D = random_dictionary(20, 40, 36)
+        D = generate_dictionary(20, 40, 36)
         x = generate_signal(40, 3, 37)
         res = SOLVERS[name](D, D.entries @ x.values, PursuitConfig(k=3, halting=FixedIterations(4)))
         assert res.iterations_run == 4 and D._gram_form is None
@@ -358,7 +356,7 @@ class TestSharedCorrelation:
     @pytest.mark.parametrize("gram", [False, True], ids=["plain", "gram"])
     @pytest.mark.parametrize("name", ["sp", "cosamp", "iht"])
     def test_given_z_changes_no_bit(self, name, gram):
-        D = random_dictionary(128, 256, 44)
+        D = generate_dictionary(128, 256, 44)
         D = D.with_gram() if gram else D
         x = generate_signal(256, 6, 45)
         y = D.entries @ x.values + 0.5 * np.random.default_rng(46).standard_normal(128)
@@ -374,8 +372,8 @@ class TestSharedCorrelation:
 class TestTraceRoundTrip:
     @pytest.mark.parametrize("name", ["sp", "cosamp", "iht"])
     def test_all_fields_survive(self, tmp_path, name):
-        # iht records no delta_support, so a None field round-trips too
-        D = random_dictionary(12, 20, 39)
+        # iht records no delta_support or coefficients, so None fields round-trip too
+        D = generate_dictionary(12, 20, 39)
         x = generate_signal(20, 2, 40)
         e = 0.3 * np.random.default_rng(41).standard_normal(12)
         y = D.entries @ x.values + e
@@ -400,7 +398,7 @@ class TestTraceRoundTrip:
             assert got.estimate_error == want.estimate_error
 
     def test_header_without_truth_or_noise(self, tmp_path):
-        D = random_dictionary(12, 20, 39)
+        D = generate_dictionary(12, 20, 39)
         y = np.random.default_rng(42).standard_normal(12)
         res = cosamp(D, y, PursuitConfig(k=2, halting=FixedIterations(2)))
         path = tmp_path / "trace.jsonl"
@@ -431,7 +429,7 @@ class TestTraceRoundTrip:
         n = data.draw(st.integers(min_value=m, max_value=2 * m), label="n")
         k = data.draw(st.integers(min_value=1, max_value=m // rip_order(name, 1)), label="k")
         iterations = data.draw(st.integers(min_value=1, max_value=4), label="iterations")
-        D = random_dictionary(m, n, seed)
+        D = generate_dictionary(m, n, seed)
         x = generate_signal(n, k, seed)
         e = sigma * np.random.default_rng(seed).standard_normal(m)
         truth = x if store_truth else None
@@ -495,7 +493,7 @@ class TestTraceRoundTrip:
         # for truth, noise and the iteration lines; floats written as text
         # take about twice the bound
         m, n = 64, 128
-        D = random_dictionary(m, n, 52)
+        D = generate_dictionary(m, n, 52)
         x = generate_signal(n, 4, 53)
         e = 0.3 * np.random.default_rng(54).standard_normal(m)
         res = subspace_pursuit(D, D.entries @ x.values + e, PursuitConfig(k=4, halting=FixedIterations(3)), x_true=x)
@@ -508,7 +506,7 @@ class TestTraceRoundTrip:
     def test_stored_iteration_fields_are_ignored(self, tmp_path, name, tampered):
         # older traces store each record's iteration and prior support and the
         # header's iterations_run; the line order alone must decide all three
-        D = random_dictionary(12, 20, 55)
+        D = generate_dictionary(12, 20, 55)
         x = generate_signal(20, 2, 56)
         e = 0.3 * np.random.default_rng(57).standard_normal(12)
         res = SOLVERS[name](D, D.entries @ x.values + e, PursuitConfig(k=2, halting=FixedIterations(3)), x_true=x)
@@ -531,8 +529,30 @@ class TestTraceRoundTrip:
         per_iteration = len(checks) // 3
         assert [c.iteration for c in checks] == [i for i in (1, 2, 3) for _ in range(per_iteration)]
 
+    def test_iht_records_hold_no_merge_fields(self, tmp_path):
+        # IHT merges and solves nothing: its records hold None, written as null, for both merge fields
+        D = generate_dictionary(12, 20, 39)
+        x = generate_signal(20, 2, 40)
+        res = iht(D, D.entries @ x.values, PursuitConfig(k=2, halting=FixedIterations(3)), x_true=x)
+        path = tmp_path / "trace.jsonl"
+        write_trace(path, res, D, x_true=x)
+        _, *lines = (json.loads(line) for line in path.read_text().splitlines())
+        assert [(line["delta_support"], line["coefficients"]) for line in lines] == [(None, None)] * 3
+        for records in (res.trace, read_trace(path).records):
+            assert [(r.delta_support, r.coefficients) for r in records] == [(None, None)] * 3
+
+    def test_k_is_stored_only_in_the_header(self, tmp_path):
+        D = generate_dictionary(12, 20, 39)
+        x = generate_signal(20, 2, 40)
+        res = subspace_pursuit(D, D.entries @ x.values, PursuitConfig(k=2, halting=FixedIterations(2)), x_true=x)
+        path = tmp_path / "trace.jsonl"
+        write_trace(path, res, D, x_true=x)
+        header = json.loads(path.read_text().splitlines()[0])
+        assert header["k"] == 2 and set(header["x_true"]) == {"values", "support"}
+        assert read_trace(path).x_true.k == 2
+
     def test_oracle_result_has_no_trace_to_write(self, tmp_path):
-        D = random_dictionary(10, 18, 42)
+        D = generate_dictionary(10, 18, 42)
         x = generate_signal(18, 2, 43)
         res = oracle_estimator(D, D.entries @ x.values, x.support)
         assert res.trace == ()
@@ -540,8 +560,8 @@ class TestTraceRoundTrip:
             write_trace(tmp_path / "oracle.jsonl", res, D)
 
     def test_truth_of_another_k_is_not_written(self, tmp_path):
-        # read_trace rejects a header k that differs from x_true.k, so the writer refuses one too
-        D = random_dictionary(10, 18, 44)
+        # a trace stores k once, in the header, so a truth of another k could not read back as written
+        D = generate_dictionary(10, 18, 44)
         x = generate_signal(18, 2, 45)
         res = subspace_pursuit(D, D.entries @ x.values, PursuitConfig(k=3, halting=FixedIterations(2)), x_true=x)
         with pytest.raises(ValueError, match="x_true.k = 2 differs from the solver's k = 3"):
@@ -705,9 +725,9 @@ def write_text(tmp_path, text):
 
 def equal_content_pair(cls, tmp_path):
     """Two distinct objects of one array-holding class, built from the same inputs."""
-    D = random_dictionary(4, 6, 1)
+    D = generate_dictionary(4, 6, 1)
     if cls is Dictionary:
-        return D, random_dictionary(4, 6, 1)
+        return D, generate_dictionary(4, 6, 1)
     x = generate_signal(6, 1, 2)
     if cls is SparseSignal:
         return x, generate_signal(6, 1, 2)
@@ -735,5 +755,5 @@ class TestIdentityEquality:
 
     def test_dictionary_and_its_gram_form_differ(self):
         # the generated __eq__ compared the shared entries array by identity and called them equal
-        D = random_dictionary(4, 6, 1)
+        D = generate_dictionary(4, 6, 1)
         assert D.with_gram() != D and D.with_gram() == D.with_gram()
