@@ -10,6 +10,10 @@ trial can be re-run in isolation and results are byte-identical regardless
 of how trials are scheduled across workers. Re-running trial i of a sweep
 is run_trial(D, k, sigma, algorithms, trial_seed(seed, k, sigma, i)) on
 generate_dictionary(m, n_atoms, dictionary_seed(seed)).
+
+Under delta_mode = monte_carlo a pooled sweep samples each (algorithm, k)
+delta as a pool task, queued ahead of the trials. A sample reads only the
+dictionary and its own seed, so it has the same bytes at any worker count.
 """
 
 import hashlib
@@ -17,7 +21,7 @@ import json
 import math
 import multiprocessing
 import typing
-from dataclasses import MISSING, asdict, dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields, replace
 
 import numpy as np
 
@@ -120,6 +124,7 @@ class AggregateRow:
 
 
 CSV_COLUMNS = tuple(f.name for f in fields(AggregateRow))
+_TRIAL_FIELDS = tuple(f.name for f in fields(TrialRecord))
 
 
 def _halting_rule(spec, sigma):
@@ -284,6 +289,10 @@ def _worker_run(task):
     return _trial_records(_WORKER_CTX["D"], _WORKER_CTX["cfg"], task)
 
 
+def _worker_delta(pair):
+    return _delta_for(_WORKER_CTX["cfg"], _WORKER_CTX["D"], *pair)
+
+
 def _delta_for(cfg, D, algorithm, k):
     """delta plugged into the bound columns for one (algorithm, k) pair."""
     if cfg.delta_mode == "threshold":
@@ -341,16 +350,25 @@ def run_experiment(cfg):
     D = generate_dictionary(cfg.m, cfg.n_atoms, dictionary_seed(cfg.seed))
     points = [(k, sigma) for k in cfg.k_values for sigma in cfg.sigma_values]
     tasks = [(t, k, sigma) for k, sigma in points for t in range(cfg.trials_per_point)]
+    # the seed of the Monte-Carlo delta depends on (algorithm, order), never on sigma;
+    # the highest order, the longest sample, comes first
+    pairs = sorted(
+        ((alg, k) for alg in cfg.algorithms for k in cfg.k_values), key=lambda pair: -guarantees.rip_order(*pair)
+    )
     if cfg.workers == 1:
         per_trial = [_trial_records(D, cfg, task) for task in tasks]
+        deltas = [_delta_for(cfg, D, *pair) for pair in pairs]
     else:
         with multiprocessing.Pool(
             processes=cfg.workers, initializer=_worker_init, initargs=(D, cfg)
         ) as pool:
+            # sampled deltas are queued ahead of the trials, so no core idles on them after the
+            # sweep; a threshold delta is a constant and is read here
+            pending = pool.map_async(_worker_delta, pairs, chunksize=1) if cfg.delta_mode == "monte_carlo" else None
             per_trial = pool.map(_worker_run, tasks, chunksize=8)
+            deltas = pending.get() if pending else [_delta_for(cfg, D, *pair) for pair in pairs]
+    deltas = dict(zip(pairs, deltas))
     records = [r for trial in per_trial for r in trial]
-    # the seed of the Monte-Carlo delta depends on (algorithm, order), never on sigma
-    deltas = {(alg, k): _delta_for(cfg, D, alg, k) for alg in cfg.algorithms for k in cfg.k_values}
     rows = []
     size = cfg.trials_per_point * len(cfg.algorithms)
     for pi, (k, sigma) in enumerate(points):
@@ -387,4 +405,4 @@ def emit_trials(records, path):
     """Write per-trial records as JSON lines."""
     with open(path, "w", newline="") as fh:
         for r in records:
-            fh.write(json.dumps(asdict(r)) + "\n")
+            fh.write(json.dumps({name: getattr(r, name) for name in _TRIAL_FIELDS}) + "\n")

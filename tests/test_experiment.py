@@ -1,7 +1,7 @@
 import json
 import math
 import pathlib
-from dataclasses import MISSING, fields, replace
+from dataclasses import MISSING, asdict, fields, replace
 
 import numpy as np
 import pytest
@@ -465,6 +465,21 @@ class TestRunExperiment:
         assert rows1 == rows2
         assert recs1 == recs2
 
+    def test_workers_do_not_change_monte_carlo_results(self):
+        # each (algorithm, k) samples its own delta below 1, so a delta read from
+        # the wrong pool task moves that pair's prob_bound
+        cfg = small_config(
+            m=64, n_atoms=96, k_values=(1, 2), sigma_values=(0.5, 1.0), trials_per_point=6,
+            delta_mode="monte_carlo", delta_mc_trials=50,
+        )
+        rows1, recs1 = run_experiment(replace(cfg, workers=1))
+        rows2, recs2 = run_experiment(replace(cfg, workers=2))
+        bounds = [r.prob_bound for r in rows1 if r.sigma == 0.5]
+        assert len(set(bounds)) == len(bounds) and all(math.isfinite(b) for b in bounds)
+        assert any(r.condition_met for r in rows1) and not all(r.condition_met for r in rows1)
+        assert rows1 == rows2
+        assert recs1 == recs2
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_run_trial_reproduces_every_sweep_record(self, workers):
         # the module docstring's contract, bit for bit: IHT's values depend on
@@ -485,6 +500,8 @@ class TestRunExperiment:
     def test_serial_sweep_leaves_no_worker_context(self):
         # the context held the sweep's dictionary, and now its Gram, until the next sweep
         run_experiment(small_config(trials_per_point=2))
+        assert experiment._WORKER_CTX == {}
+        run_experiment(small_config(trials_per_point=2, delta_mode="monte_carlo", delta_mc_trials=20))
         assert experiment._WORKER_CTX == {}
 
     def test_workers_override_is_validated(self):
@@ -585,6 +602,14 @@ class TestEmission:
         tlines = [json.loads(line) for line in tpath.read_text().splitlines()]
         assert len(tlines) == len(records)
         assert tlines[0]["trial_index"] == 0
+
+    def test_trial_lines_are_the_json_of_each_record(self, tmp_path):
+        _, records = run_experiment(small_config(trials_per_point=2))
+        failed = replace(records[0], squared_error=math.nan, support_recovered=False, error="RankDeficient")
+        records = [*records, failed]
+        path = tmp_path / "trials.jsonl"
+        emit_trials(records, path)
+        assert path.read_text() == "".join(json.dumps(asdict(r)) + "\n" for r in records)
 
     def test_unknown_format_rejected(self, tmp_path):
         with pytest.raises(ValueError):

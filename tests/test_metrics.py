@@ -204,6 +204,24 @@ class TestRipMonteCarlo:
         b = rip_monte_carlo(D, 3, trials=200, seed=42).delta
         assert a == b
 
+    def test_batched_scoring_leaves_delta_bit_equal(self, monkeypatch):
+        # order 40: the default batch of 2**18 // 40**2 = 163 blocks splits the 200 supports
+        D = generate_dictionary(48, 96, 11)
+        batches = []
+
+        def counting(E, idx):
+            batches.append(len(idx))
+            return _support_deltas(E, idx)
+
+        monkeypatch.setattr(metrics, "_support_deltas", counting)
+        deltas = {}
+        for elements, count in ((metrics._BATCH_ELEMENTS, 2), (1, 200), (10**9, 1)):
+            monkeypatch.setattr(metrics, "_BATCH_ELEMENTS", elements)
+            batches.clear()
+            deltas[elements] = rip_monte_carlo(D, 40, trials=200, seed=5).delta
+            assert len(batches) == count and sum(batches) == 200
+        assert len(set(deltas.values())) == 1
+
 
 class TestWorstCaseNoiseCorrelation:
     def brute_force(self, D, e, k):
