@@ -11,9 +11,9 @@ of how trials are scheduled across workers. Re-running trial i of a sweep
 is run_trial(D, k, sigma, algorithms, trial_seed(seed, k, sigma, i)) on
 generate_dictionary(m, n_atoms, dictionary_seed(seed)).
 
-Under delta_mode = monte_carlo a pooled sweep samples each (algorithm, k)
-delta as a pool task, queued ahead of the trials. A sample reads only the
-dictionary and its own seed, so it has the same bytes at any worker count.
+A pooled sweep computes each (algorithm, k) delta as a pool task, queued
+ahead of the trials. A sampled delta (delta_mode = monte_carlo) reads only
+the dictionary and its own seed, so it has the same bytes at any worker count.
 """
 
 import hashlib
@@ -362,11 +362,10 @@ def run_experiment(cfg):
         with multiprocessing.Pool(
             processes=cfg.workers, initializer=_worker_init, initargs=(D, cfg)
         ) as pool:
-            # sampled deltas are queued ahead of the trials, so no core idles on them after the
-            # sweep; a threshold delta is a constant and is read here
-            pending = pool.map_async(_worker_delta, pairs, chunksize=1) if cfg.delta_mode == "monte_carlo" else None
+            # deltas are queued ahead of the trials, so no core idles on them after the sweep
+            pending = pool.map_async(_worker_delta, pairs, chunksize=1)
             per_trial = pool.map(_worker_run, tasks, chunksize=8)
-            deltas = pending.get() if pending else [_delta_for(cfg, D, *pair) for pair in pairs]
+            deltas = pending.get()
     deltas = dict(zip(pairs, deltas))
     records = [r for trial in per_trial for r in trial]
     rows = []

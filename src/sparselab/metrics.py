@@ -41,8 +41,8 @@ _CHUNK_ELEMENTS = 4 * 10**6
 _BOUND_SLACK = 1e-9
 
 # gathered-block batch sizes of a chunk: the first, doubling up to
-# _BATCH_ELEMENTS // k**2 blocks (2 MB of float64 per gather); sampled
-# supports are scored _BATCH_ELEMENTS // k**2 blocks at a time
+# _BATCH_ELEMENTS // k**2 blocks (2 MB of float64 per gather); a chunk of
+# sampled supports holds at most _BATCH_ELEMENTS // k**2 of them
 _FIRST_BATCH = 256
 _BATCH_ELEMENTS = 2**18
 
@@ -245,9 +245,10 @@ def rip_monte_carlo(D, k, trials, seed):
 
     Evaluates the same per-support defect as rip_exact on `trials` supports
     drawn uniformly (with replacement) from all size-k subsets; the result
-    never exceeds the exact constant. Deterministic given `seed`. The
-    supports of a draw are scored _BATCH_ELEMENTS // k**2 blocks at a time,
-    which bounds the gather and leaves the result bit-equal.
+    never exceeds the exact constant. Deterministic given `seed`. A chunk
+    holds at most _BATCH_ELEMENTS // k**2 supports, which bounds the gather;
+    the generator reads its stream in order, so the chunk size leaves the
+    result bit-equal.
     """
     n = D.n_atoms
     if not 1 <= k <= n:
@@ -258,15 +259,13 @@ def rip_monte_carlo(D, k, trials, seed):
     E = _deviation_matrix(D)
     best = 0.0
     left = trials
-    chunk = min(_chunk_rows(k), max(1, _CHUNK_ELEMENTS // (8 * n)))
-    batch = max(1, _BATCH_ELEMENTS // (k * k))
+    chunk = min(_chunk_rows(k), max(1, _CHUNK_ELEMENTS // (8 * n)), max(1, _BATCH_ELEMENTS // (k * k)))
     while left > 0:
         b = min(chunk, left)
         keys = rng.random((b, n))
         idx = np.argpartition(keys, kth=k - 1, axis=1)[:, :k]
         idx.sort(axis=1)
-        for start in range(0, b, batch):
-            best = max(best, float(_support_deltas(E, idx[start : start + batch]).max()))
+        best = max(best, float(_support_deltas(E, idx).max()))
         left -= b
     return RipEstimate(
         k=k,

@@ -205,7 +205,7 @@ class TestRipMonteCarlo:
         assert a == b
 
     def test_batched_scoring_leaves_delta_bit_equal(self, monkeypatch):
-        # order 40: the default batch of 2**18 // 40**2 = 163 blocks splits the 200 supports
+        # order 40: the default chunk of 2**18 // 40**2 = 163 supports splits the 200 samples
         D = generate_dictionary(48, 96, 11)
         batches = []
 
