@@ -21,7 +21,7 @@ import os
 import sys
 
 from . import guarantees
-from .errors import ConfigError, SparseLabError
+from .errors import SparseLabError
 from .linalg import export_dictionary_csv, import_dictionary_csv
 from .metrics import ENUMERATION_BUDGET, rip_exact, rip_monte_carlo
 from .pursuit import read_trace, recurrence_diagnostics
@@ -79,18 +79,9 @@ def _cmd_rip(args):
 
 def _cmd_diagnose(args):
     bundle = read_trace(getattr(args, "in"))
-    if bundle.x_true is None:
-        raise ConfigError("trace has no stored true signal; diagnostics need it")
-    if bundle.noise is None:
-        raise ConfigError("trace has no stored noise vector; diagnostics need it")
     report = recurrence_diagnostics(
-        bundle.records,
-        bundle.x_true,
-        bundle.noise,
-        bundle.dictionary,
-        bundle.algorithm,
-        delta=args.delta,
-        budget=args.budget,
+        bundle.records, bundle.x_true, bundle.noise, bundle.dictionary, bundle.algorithm,
+        delta=args.delta, budget=args.budget,
     )
     for check in report.checks:
         flag = "ok" if check.holds else "FAIL"

@@ -298,8 +298,9 @@ def _delta_for(cfg, D, algorithm, k):
     if cfg.delta_mode == "threshold":
         return 0.0 if algorithm is Algorithm.ORACLE else guarantees.CONDITIONS[algorithm.value]
     order = guarantees.rip_order(algorithm, k)
+    # the trials solve on the same Gram form, so D^T D is formed once per process
     est = rip_monte_carlo(
-        D, order, trials=cfg.delta_mc_trials, seed=_digest_seed(cfg.seed, "rip", algorithm.value, order)
+        D.with_gram(), order, trials=cfg.delta_mc_trials, seed=_digest_seed(cfg.seed, "rip", algorithm.value, order)
     )
     return est.delta
 

@@ -102,7 +102,8 @@ class Dictionary:
         return self.entries[:, support.as_array()]
 
     def gram(self):
-        return self.entries.T @ self.entries
+        """D^T D as a new array the caller may change: a copy of the carried Gram matrix, else formed."""
+        return self.entries.T @ self.entries if self._gram is None else self._gram.copy()
 
     def with_gram(self):
         """This dictionary carrying its Gram matrix, read-only and built on the first call only.

@@ -259,7 +259,7 @@ def rip_monte_carlo(D, k, trials, seed):
     E = _deviation_matrix(D)
     best = 0.0
     left = trials
-    chunk = min(_chunk_rows(k), max(1, _CHUNK_ELEMENTS // (8 * n)), max(1, _BATCH_ELEMENTS // (k * k)))
+    chunk = min(max(1, _CHUNK_ELEMENTS // (8 * n)), max(1, _BATCH_ELEMENTS // (k * k)))
     while left > 0:
         b = min(chunk, left)
         keys = rng.random((b, n))

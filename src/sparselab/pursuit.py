@@ -29,8 +29,7 @@ import base64
 import enum
 import json
 import math
-import typing
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -108,10 +107,10 @@ class PursuitConfig:
 
 @dataclass(frozen=True, eq=False)
 class IterationRecord:
-    """One iteration. Its number is its 1-based position in the trace; the support
-    before it is the previous record's pruned_support, or empty for the first.
-    SP and CoSaMP add delta_support and solve `coefficients` on the merged support,
-    the support before united with it, derived, not stored; IHT does neither (None)."""
+    """One iteration, numbered by its 1-based position in the trace; the support before it is
+    the previous record's pruned_support (empty for the first). SP and CoSaMP add delta_support
+    and solve `coefficients` on the merged support, the support before united with it; IHT does
+    neither (None). A trace stores neither the merged support nor estimate_error (None without x_true)."""
 
     delta_support: SupportSet | None
     pruned_support: SupportSet
@@ -166,7 +165,12 @@ def _pursue(algorithm, D, y, cfg, x_true, z):
     grow, resolve = _RULES[algorithm]
     _check_dims(D, cfg.k, algorithm)
     y = np.asarray(y, dtype=np.float64)
-    y_norm = float(np.linalg.norm(y))
+    if not np.all(np.isfinite(y)):
+        raise NonFinite("measurements y must be finite")
+    with np.errstate(over="ignore"):
+        y_norm = float(np.linalg.norm(y))
+    if math.isinf(y_norm):  # the plain norm squares each entry, so past about 1e154 scale y first
+        y_norm = float(np.max(np.abs(y))) * float(np.linalg.norm(y / np.max(np.abs(y))))
     n_iters = cfg.halting.iterations(y_norm, cfg.k)
     n = D.n_atoms
     support = SupportSet(())
@@ -451,26 +455,30 @@ def _check_size(items, size, n_atoms=math.inf):
     return items
 
 
-# every IterationRecord field, in JSON key order, with the reader for its annotated type
-_READERS = {
-    SupportSet: lambda value: SupportSet([_INT(i) for i in _LIST(value)]),
-    np.ndarray: _array_from_json,
-    float: lambda value: float(_NUMBER(value)),
+def _support(value):
+    return SupportSet([_INT(i) for i in _LIST(value)])
+
+
+# the IterationRecord fields a trace stores, in JSON key order, with their readers
+_RECORD_FIELDS = {
+    "delta_support": _support,
+    "pruned_support": _support,
+    "coefficients": _array_from_json,
+    "estimate_values": _array_from_json,
 }
-_ITERATION_FIELDS = {f.name: _READERS[(typing.get_args(f.type) or (f.type,))[0]] for f in fields(IterationRecord)}
 
 
-def write_trace(path, result, D, x_true=None, noise=None, sigma=None):
+def write_trace(path, result, D, x_true, noise, sigma=None):
     """Serialize a traced pursuit run as JSON lines.
 
     The first line is a header with k and the full problem instance
     (dictionary, ground truth, noise), so diagnostics can replay the file
-    standalone; each following line is one iteration. Every float array is
-    the base64 of its little-endian float64 bytes, so it reads back bit-exact.
+    standalone; each following line is one iteration's _RECORD_FIELDS. Every
+    float array is the base64 of its little-endian float64 bytes, so it reads back bit-exact.
     """
     if not result.trace:
         raise ValueError(f"a {result.algorithm.value} result has no iterations to trace")
-    if x_true is not None and x_true.k != result.estimate.k:
+    if x_true.k != result.estimate.k:
         raise ValueError(f"x_true.k = {x_true.k} differs from the solver's k = {result.estimate.k}")
     header = {
         "record": "header",
@@ -479,14 +487,14 @@ def write_trace(path, result, D, x_true=None, noise=None, sigma=None):
         "m": D.m,
         "n_atoms": D.n_atoms,
         "dictionary": _array_to_json(D.entries),
-        "x_true": None if x_true is None else {"values": _array_to_json(x_true.values), "support": _to_json(x_true.support)},
-        "noise": None if noise is None else _array_to_json(noise),
+        "x_true": {"values": _array_to_json(x_true.values), "support": _to_json(x_true.support)},
+        "noise": _array_to_json(noise),
         "sigma": None if sigma is None else float(sigma),
     }
     with open(path, "w", newline="") as fh:
         fh.write(json.dumps(header) + "\n")
         for r in result.trace:
-            line = {name: _to_json(getattr(r, name)) for name in _ITERATION_FIELDS}
+            line = {name: _to_json(getattr(r, name)) for name in _RECORD_FIELDS}
             fh.write(json.dumps({"record": "iteration", **line}) + "\n")
 
 
@@ -496,8 +504,8 @@ class TraceBundle:
     k: int
     dictionary: Dictionary
     records: tuple
-    x_true: SparseSignal | None
-    noise: np.ndarray | None
+    x_true: SparseSignal
+    noise: np.ndarray
     sigma: float | None
 
     @property
@@ -510,10 +518,11 @@ def read_trace(path):
 
     The header's algorithm decides what a record holds: SP and CoSaMP records
     must carry delta_support and coefficients, IHT records are read without
-    them, and x_true takes the header's k. A malformed file (a line that is
-    not JSON, a missing or null field, a value of the wrong type, an array
-    stored as a list of floats by an older sparselab, parts that disagree in
-    size, an index past n_atoms) raises ValueError naming the file and the line or field.
+    them, x_true takes the header's k, and each estimate_error is computed from x_true
+    as the solver does (an older trace's stored one is ignored). A malformed file (a
+    line that is not JSON, a missing or null field, a value of the wrong type, an array
+    stored as a list of floats by an older sparselab, parts that disagree in size, an
+    index past n_atoms) raises ValueError naming the file and the line or field.
     """
     lines = []
     with open(path) as fh:
@@ -532,27 +541,23 @@ def read_trace(path):
     algorithm = _field(path, h, "algorithm", Algorithm)
     unread = ("delta_support", "coefficients") if algorithm is Algorithm.IHT else ()
     dictionary = _field(path, h, "dictionary", lambda value: Dictionary(_array_from_json(value).reshape(shape)))
-    x = _field(path, h, "x_true", _OBJECT, optional=True)
-    if x is not None:
-        readers = {"values": lambda value: _check_size(_array_from_json(value), n), "support": _READERS[SupportSet]}
-        parts = {key: _field(path, x, key, read, prefix="x_true.") for key, read in readers.items()}
-        # the signal's own checks (support within values, zero off it, k) name x_true
-        x = _field(path, h, "x_true", lambda _: SparseSignal(**parts, k=k))
+    x = _field(path, h, "x_true", _OBJECT)
+    readers = {"values": lambda value: _check_size(_array_from_json(value), n), "support": _support}
+    parts = {key: _field(path, x, key, read, prefix="x_true.") for key, read in readers.items()}
+    # the signal's own checks (support within values, zero off it, k) name x_true
+    x = _field(path, h, "x_true", lambda _: SparseSignal(**parts, k=k))
     records, before = [], SupportSet(())
     for number, obj in lines[1:]:
         if not isinstance(obj, dict) or obj.get("record") != "iteration":
             raise ValueError(f"{path}: line {number} is not an iteration record")
-        values = {
-            name: None if name in unread else _field(path, obj, name, read, optional=name == "estimate_error")
-            for name, read in _ITERATION_FIELDS.items()
-        }
+        values = {name: None if name in unread else _field(path, obj, name, read) for name, read in _RECORD_FIELDS.items()}
         pruned, delta = values["pruned_support"], values["delta_support"]
         if len(pruned) != k:
             raise ValueError(f"{path}: field 'k': {k}, but line {number} prunes to {len(pruned)} atoms")
         sizes = {"coefficients": None if delta is None else len(before.union(delta)), "estimate_values": k}
         for name in ("delta_support", "pruned_support", *sizes):
             _field(path, values, name, lambda items: _check_size(items, sizes.get(name), n), optional=True)
-        records.append(IterationRecord(**values))
+        records.append(IterationRecord(**values, estimate_error=_error_vs(x, n, pruned, values["estimate_values"])))
         before = pruned
     return TraceBundle(
         algorithm=algorithm,
@@ -560,6 +565,6 @@ def read_trace(path):
         dictionary=dictionary,
         records=tuple(records),
         x_true=x,
-        noise=_field(path, h, "noise", lambda value: _check_size(_array_from_json(value), m), optional=True),
+        noise=_field(path, h, "noise", lambda value: _check_size(_array_from_json(value), m)),
         sigma=_field(path, h, "sigma", _sigma, optional=True),
     )

@@ -366,7 +366,6 @@ class TestDiagnose:
             ("x_true.support", lambda h, r: h["x_true"].pop("support")),
             ("k", lambda h, r: h.update(k="2")),
             ("pruned_support", lambda h, r: r.update(pruned_support="0,1")),
-            ("estimate_error", lambda h, r: r.update(estimate_error=[1.0])),
             ("estimate_values", lambda h, r: r.update(estimate_values=None)),
             # arrays as lists of floats: the format of older sparselab traces
             ("dictionary", lambda h, r: h.update(dictionary=np.eye(12, 18).tolist())),
@@ -388,6 +387,11 @@ class TestDiagnose:
         self.assert_rejected_naming(
             tmp_path, capsys, "pruned_support", lambda h, r: r.update(pruned_support=[0, 2**64])
         )
+
+    def test_stored_estimate_error_is_ignored(self, tmp_path, capsys):
+        # older traces store each record's error; it is computed from x_true now, so a value
+        # that is no float, which used to exit 2, is ignored like any unknown key
+        self.assert_ignored(tmp_path, capsys, lambda h, records: records[0].update(estimate_error=[1.0]))
 
     def test_stored_truth_k_is_ignored(self, tmp_path, capsys):
         # k is stored once, in the header; an x_true.k other than it used to exit 2
@@ -455,14 +459,8 @@ class TestDiagnose:
         assert "merged_support_miss" in self.assert_ignored(tmp_path, capsys, forge)
 
     def test_trace_without_truth_rejected(self, tmp_path, capsys):
-        D = generate_dictionary(12, 18, 47)
-        x = generate_signal(18, 2, 48)
-        res = subspace_pursuit(D, D.entries @ x.values, PursuitConfig(k=2, halting=FixedIterations(2)))
-        path = tmp_path / "t.jsonl"
-        write_trace(path, res, D, noise=np.zeros(12))
-        code, stdout, stderr = run_cli(capsys, "diagnose", "--in", str(path), "--delta", "0.3")
-        assert code == 2 and stdout == ""
-        assert stderr.startswith("error[ConfigError]: trace has no stored true signal")
+        # older sparselab wrote a null x_true when given no truth; diagnose used to exit 2 with a ConfigError
+        self.assert_rejected_naming(tmp_path, capsys, "x_true", lambda h, r: h.update(x_true=None))
 
     def assert_ignored(self, tmp_path, capsys, edit, solver=subspace_pursuit):
         """diagnose --delta 0.1 prints the untampered output and exits 0 after `edit`; returns that output."""
@@ -518,16 +516,8 @@ class TestDiagnose:
         assert stderr.startswith("error[BudgetExceeded]:")
 
     def test_trace_without_noise_rejected(self, tmp_path, capsys):
-        D = generate_dictionary(12, 18, 47)
-        x = generate_signal(18, 2, 48)
-        res = subspace_pursuit(
-            D, D.entries @ x.values, PursuitConfig(k=2, halting=FixedIterations(2)), x_true=x
-        )
-        path = tmp_path / "t.jsonl"
-        write_trace(path, res, D, x_true=x)
-        code, _, stderr = run_cli(capsys, "diagnose", "--in", str(path))
-        assert code == 2
-        assert stderr.startswith("error[ConfigError]:")
+        # older sparselab wrote a null noise when given none; diagnose used to exit 2 with a ConfigError
+        self.assert_rejected_naming(tmp_path, capsys, "noise", lambda h, r: h.update(noise=None))
 
 
 def floats(a):

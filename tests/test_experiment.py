@@ -388,12 +388,14 @@ class TestRunTrial:
         assert [r.trial_index for r in records] == [None, None]
 
     def test_overflowing_measurements_recorded_not_raised(self):
-        # sigma^2 is finite but ||y||_2 overflows; the practical rule used to raise OverflowError from ceil(inf)
+        # y is finite but its plain 2-norm overflows; the practical rule used to raise OverflowError
+        # from ceil(inf), then SP failed as NonFinite on that inf, though the scaled norm is finite
         D = generate_dictionary(32, 64, 1)
         with np.errstate(over="ignore"):
-            records = run_trial(D, 2, 1e154, (Algorithm.SP, Algorithm.ORACLE), seed=4, halting="practical")
-        assert records[0].error == "NonFinite"
-        assert records[1].error is None
+            sp, co, it, oracle = run_trial(D, 2, 1e154, tuple(Algorithm), seed=4, halting="practical")
+        for record in (sp, co, oracle):
+            assert (record.error, record.squared_error) == (None, math.inf)
+        assert it.error == "Divergence"
 
     def test_deterministic_given_seed(self):
         D = generate_dictionary(32, 64, 2)
@@ -544,6 +546,21 @@ class TestRunExperiment:
         )
         run_experiment(cfg)
         assert len(calls) == len(cfg.algorithms) * len(cfg.k_values)
+
+    def test_serial_sweep_forms_the_gram_once(self, monkeypatch):
+        # the sampled deltas read the Gram form the trials built; each used to form D^T D again
+        formed = []
+        gram = Dictionary.gram
+
+        def counting(D):
+            formed.append(D._gram is None)
+            return gram(D)
+
+        monkeypatch.setattr(Dictionary, "gram", counting)
+        cfg = small_config(k_values=(2, 3), trials_per_point=1, delta_mode="monte_carlo", delta_mc_trials=20)
+        run_experiment(cfg)
+        assert formed.count(True) == 1
+        assert formed.count(False) == len(cfg.algorithms) * len(cfg.k_values)
 
     def test_trials_solve_on_the_matrix_delta_is_sampled_on(self, monkeypatch):
         sampled, solved = [], []

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sparselab.errors import NonFinite, RankDeficient, ZeroColumn
-from sparselab.experiment import generate_dictionary
+from sparselab.experiment import generate_dictionary, generate_signal
 from sparselab.linalg import (
     GRAM_EIG_FLOOR,
     Dictionary,
@@ -99,6 +99,13 @@ class TestGram:
         assert np.array_equal(G._gram, D.entries.T @ D.entries)
         assert G._gram.flags.c_contiguous and not G._gram.flags.writeable
 
+    def test_gram_of_the_gram_form_is_a_writable_copy(self):
+        # callers such as the RIP deviation matrix subtract I in place; the carried Gram must not change
+        G = generate_dictionary(6, 10, 31).with_gram()
+        copy = G.gram()
+        assert copy is not G._gram and copy.flags.writeable and not np.shares_memory(copy, G._gram)
+        assert copy.tobytes() == G._gram.tobytes() == (G.entries.T @ G.entries).tobytes()
+
     def test_plain_dictionary_correlates_through_the_entries(self):
         D = generate_dictionary(8, 14, 32)
         y = np.random.default_rng(33).standard_normal(8)
@@ -156,7 +163,7 @@ class TestLayout:
     def test_trace_round_trip_stores_column_major(self, tmp_path):
         D, res = self._traced_run()
         path = tmp_path / "t.jsonl"
-        write_trace(path, res, D)
+        write_trace(path, res, D, x_true=generate_signal(20, 2, 27), noise=np.zeros(12))
         back = read_trace(path).dictionary
         assert _column_major_and_read_only(back)
         assert back.entries.tobytes(order="A") == D.entries.tobytes(order="A")
@@ -199,8 +206,9 @@ class TestLayout:
         row_major = types.SimpleNamespace(entries=np.ascontiguousarray(D.entries), m=D.m, n_atoms=D.n_atoms)
         assert row_major.entries.flags.c_contiguous
         ours, theirs = tmp_path / "f.jsonl", tmp_path / "c.jsonl"
-        write_trace(ours, res, D)
-        write_trace(theirs, res, row_major)
+        x, e = generate_signal(20, 2, 27), np.zeros(12)
+        write_trace(ours, res, D, x_true=x, noise=e)
+        write_trace(theirs, res, row_major, x_true=x, noise=e)
         assert ours.read_bytes() == theirs.read_bytes()
 
 

@@ -204,6 +204,12 @@ class TestRipMonteCarlo:
         b = rip_monte_carlo(D, 3, trials=200, seed=42).delta
         assert a == b
 
+    def test_delta_is_bit_equal_on_the_gram_form(self):
+        # a dictionary carrying its Gram hands rip_monte_carlo a copy of the same product
+        D = generate_dictionary(24, 48, 12)
+        for k in (1, 3, 6):
+            assert rip_monte_carlo(D, k, trials=300, seed=k).delta == rip_monte_carlo(D.with_gram(), k, trials=300, seed=k).delta
+
     def test_batched_scoring_leaves_delta_bit_equal(self, monkeypatch):
         # order 40: the default chunk of 2**18 // 40**2 = 163 supports splits the 200 samples
         D = generate_dictionary(48, 96, 11)

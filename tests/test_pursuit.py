@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sparselab import pursuit
 from sparselab.errors import Divergence, NonFinite
 from sparselab.guarantees import cosamp_constants, iht_constants, oracle_mse_exact, rip_order, sp_constants
 from sparselab.linalg import Dictionary, SparseSignal, SupportSet, least_squares_on_support, normalize_columns, top_k_support
@@ -19,6 +20,7 @@ from sparselab.pursuit import (
     PursuitConfig,
     PursuitResult,
     TraceBundle,
+    _error_vs,
     cosamp,
     iht,
     oracle_estimator,
@@ -167,6 +169,33 @@ class TestSubspacePursuit:
             coef = least_squares_on_support(D, SupportSet(sorted(merged)), y)
             assert np.allclose(rec.coefficients, coef, atol=1e-12)
             before = rec.pruned_support
+
+
+class TestMeasurementChecks:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("gram", [False, True], ids=["plain", "gram"])
+    @pytest.mark.parametrize("name", ["sp", "cosamp", "iht"])
+    def test_non_finite_y_rejected_before_the_first_iteration(self, monkeypatch, name, gram, bad):
+        # every iteration used to run on it with RuntimeWarnings, then fail naming the estimate, not y
+        def no_iteration(*args, **kwargs):
+            raise AssertionError("an iteration ran on a non-finite y")
+
+        D = generate_dictionary(12, 24, 3)
+        D = D.with_gram() if gram else D
+        y = np.random.default_rng(4).standard_normal(12)
+        y[5] = bad
+        monkeypatch.setattr(pursuit, "top_k_support", no_iteration)
+        with pytest.raises(NonFinite, match="measurements y must be finite"):
+            SOLVERS[name](D, y, PursuitConfig(k=2, halting=FixedIterations(3)))
+
+    @pytest.mark.filterwarnings("error")
+    def test_norm_of_a_finite_y_does_not_overflow(self):
+        # the plain norm squares 1e200 and overflows; the scaled one, sqrt(2) * 1e200, gives ceil(log2(sqrt(2))) = 1
+        y = np.zeros(12)
+        y[:2] = 1e200
+        res = subspace_pursuit(generate_dictionary(12, 24, 3), y, PursuitConfig(k=1, halting=PracticalLogRule(1e200)))
+        assert res.iterations_run == 1
 
 
 class TestDimensionGuards:
@@ -398,18 +427,47 @@ class TestTraceRoundTrip:
             assert got.estimate_error == want.estimate_error
 
     def test_header_without_truth_or_noise(self, tmp_path):
+        # a trace is the whole problem: diagnostics and every record's error need the truth and the noise
         D = generate_dictionary(12, 20, 39)
-        y = np.random.default_rng(42).standard_normal(12)
-        res = cosamp(D, y, PursuitConfig(k=2, halting=FixedIterations(2)))
+        x = generate_signal(20, 2, 40)
+        res = cosamp(D, D.entries @ x.values, PursuitConfig(k=2, halting=FixedIterations(2)))
         path = tmp_path / "trace.jsonl"
-        write_trace(path, res, D)
-        bundle = read_trace(path)
-        assert bundle.x_true is None and bundle.noise is None and bundle.sigma is None
-        assert np.array_equal(bundle.dictionary.entries, D.entries)
-        for got, want in zip(bundle.records, res.trace, strict=True):
-            assert got.estimate_error is None
-            assert got.pruned_support == want.pruned_support
-            assert np.array_equal(got.coefficients, want.coefficients)
+        for kwargs in ({}, {"x_true": x}, {"noise": np.zeros(12)}):
+            with pytest.raises(TypeError):
+                write_trace(path, res, D, **kwargs)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("gram", [False, True], ids=["plain", "gram"])
+    @pytest.mark.parametrize("name", ["sp", "cosamp", "iht"])
+    def test_errors_are_computed_from_the_stored_truth(self, tmp_path, name, gram):
+        # a run with truth A written with truth B of the same k used to read back A's errors
+        D = generate_dictionary(24, 40, 61)
+        D = D.with_gram() if gram else D
+        a, b = generate_signal(40, 3, 62), generate_signal(40, 3, 63)
+        e = 0.1 * np.random.default_rng(64).standard_normal(24)
+        res = SOLVERS[name](D, D.entries @ a.values + e, PursuitConfig(k=3, halting=FixedIterations(4)), x_true=a)
+        path = tmp_path / "trace.jsonl"
+        write_trace(path, res, D, x_true=b, noise=e)
+        records = read_trace(path).records
+        want = [_error_vs(b, 40, r.pruned_support, r.estimate_values) for r in res.trace]
+        assert [r.estimate_error for r in records] == want
+        assert want != [r.estimate_error for r in res.trace]
+
+    def test_stored_estimate_error_is_ignored(self, tmp_path):
+        # traces used to store each record's error unchecked, so a forged -5.0 read back as a norm
+        D = generate_dictionary(12, 20, 39)
+        x = generate_signal(20, 2, 40)
+        e = 0.3 * np.random.default_rng(41).standard_normal(12)
+        res = subspace_pursuit(D, D.entries @ x.values + e, PursuitConfig(k=2, halting=FixedIterations(3)), x_true=x)
+        path = tmp_path / "trace.jsonl"
+        write_trace(path, res, D, x_true=x, noise=e)
+        header, *records = (json.loads(line) for line in path.read_text().splitlines())
+        assert not any("estimate_error" in record for record in records)
+        for record in records:
+            record["estimate_error"] = -5.0
+        path.write_text("".join(json.dumps(obj) + "\n" for obj in (header, *records)))
+        got = [r.estimate_error for r in read_trace(path).records]
+        assert got == [r.estimate_error for r in res.trace] and min(got) >= 0
 
     @pytest.fixture(scope="class")
     def trace_path(self, tmp_path_factory):
@@ -421,31 +479,24 @@ class TestTraceRoundTrip:
         st.data(),
         st.floats(min_value=0.0, max_value=2.0),
         st.integers(min_value=0, max_value=2**32 - 1),
-        st.booleans(),
-        st.booleans(),
     )
     @settings(deadline=None, max_examples=30)
-    def test_round_trip_property(self, trace_path, name, m, data, sigma, seed, store_truth, store_noise):
+    def test_round_trip_property(self, trace_path, name, m, data, sigma, seed):
         n = data.draw(st.integers(min_value=m, max_value=2 * m), label="n")
         k = data.draw(st.integers(min_value=1, max_value=m // rip_order(name, 1)), label="k")
         iterations = data.draw(st.integers(min_value=1, max_value=4), label="iterations")
         D = generate_dictionary(m, n, seed)
         x = generate_signal(n, k, seed)
         e = sigma * np.random.default_rng(seed).standard_normal(m)
-        truth = x if store_truth else None
-        noise = e if store_noise else None
         cfg = PursuitConfig(k=k, halting=FixedIterations(iterations))
-        res = SOLVERS[name](D, D.entries @ x.values + e, cfg, x_true=truth)
-        write_trace(trace_path, res, D, x_true=truth, noise=noise, sigma=sigma)
+        res = SOLVERS[name](D, D.entries @ x.values + e, cfg, x_true=x)
+        write_trace(trace_path, res, D, x_true=x, noise=e, sigma=sigma)
         bundle = read_trace(trace_path)
         assert (bundle.algorithm, bundle.k, bundle.iterations_run, bundle.sigma) == (Algorithm(name), k, iterations, sigma)
         assert np.array_equal(bundle.dictionary.entries, D.entries)
-        if store_truth:
-            assert np.array_equal(bundle.x_true.values, x.values)
-            assert (bundle.x_true.support, bundle.x_true.k) == (x.support, k)
-        else:
-            assert bundle.x_true is None
-        assert np.array_equal(bundle.noise, e) if store_noise else bundle.noise is None
+        assert np.array_equal(bundle.x_true.values, x.values)
+        assert (bundle.x_true.support, bundle.x_true.k) == (x.support, k)
+        assert np.array_equal(bundle.noise, e)
         for got, want in zip(bundle.records, res.trace, strict=True):
             for f in fields(IterationRecord):
                 g, w = getattr(got, f.name), getattr(want, f.name)
@@ -535,7 +586,7 @@ class TestTraceRoundTrip:
         x = generate_signal(20, 2, 40)
         res = iht(D, D.entries @ x.values, PursuitConfig(k=2, halting=FixedIterations(3)), x_true=x)
         path = tmp_path / "trace.jsonl"
-        write_trace(path, res, D, x_true=x)
+        write_trace(path, res, D, x_true=x, noise=np.zeros(12))
         _, *lines = (json.loads(line) for line in path.read_text().splitlines())
         assert [(line["delta_support"], line["coefficients"]) for line in lines] == [(None, None)] * 3
         for records in (res.trace, read_trace(path).records):
@@ -546,7 +597,7 @@ class TestTraceRoundTrip:
         x = generate_signal(20, 2, 40)
         res = subspace_pursuit(D, D.entries @ x.values, PursuitConfig(k=2, halting=FixedIterations(2)), x_true=x)
         path = tmp_path / "trace.jsonl"
-        write_trace(path, res, D, x_true=x)
+        write_trace(path, res, D, x_true=x, noise=np.zeros(12))
         header = json.loads(path.read_text().splitlines()[0])
         assert header["k"] == 2 and set(header["x_true"]) == {"values", "support"}
         assert read_trace(path).x_true.k == 2
@@ -557,7 +608,7 @@ class TestTraceRoundTrip:
         res = oracle_estimator(D, D.entries @ x.values, x.support)
         assert res.trace == ()
         with pytest.raises(ValueError, match="no iterations"):
-            write_trace(tmp_path / "oracle.jsonl", res, D)
+            write_trace(tmp_path / "oracle.jsonl", res, D, x_true=x, noise=np.zeros(10))
 
     def test_truth_of_another_k_is_not_written(self, tmp_path):
         # a trace stores k once, in the header, so a truth of another k could not read back as written
@@ -565,7 +616,7 @@ class TestTraceRoundTrip:
         x = generate_signal(18, 2, 45)
         res = subspace_pursuit(D, D.entries @ x.values, PursuitConfig(k=3, halting=FixedIterations(2)), x_true=x)
         with pytest.raises(ValueError, match="x_true.k = 2 differs from the solver's k = 3"):
-            write_trace(tmp_path / "t.jsonl", res, D, x_true=x)
+            write_trace(tmp_path / "t.jsonl", res, D, x_true=x, noise=np.zeros(10))
 
 
 class TestRecurrenceDiagnostics:
@@ -737,7 +788,7 @@ def equal_content_pair(cls, tmp_path):
         return a, b
     if cls is IterationRecord:
         return a.trace[0], b.trace[0]
-    write_trace(tmp_path / "t.jsonl", a, D, x_true=x)
+    write_trace(tmp_path / "t.jsonl", a, D, x_true=x, noise=np.zeros(4))
     return read_trace(tmp_path / "t.jsonl"), read_trace(tmp_path / "t.jsonl")
 
 
