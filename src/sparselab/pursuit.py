@@ -29,7 +29,7 @@ import base64
 import enum
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -109,12 +109,11 @@ class PursuitConfig:
 class IterationRecord:
     """One iteration, numbered by its 1-based position in the trace; the support before it is
     the previous record's pruned_support (empty for the first). SP and CoSaMP add delta_support
-    and solve `coefficients` on the merged support, the support before united with it; IHT does
-    neither (None). A trace stores neither the merged support nor estimate_error (None without x_true)."""
+    and prune a least-squares solve on the merged support, the support before united with it; IHT
+    adds none (None). A trace stores neither the merged support nor estimate_error (None without x_true)."""
 
     delta_support: SupportSet | None
     pruned_support: SupportSet
-    coefficients: np.ndarray | None
     estimate_values: np.ndarray
     estimate_error: float | None
 
@@ -185,7 +184,7 @@ def _pursue(algorithm, D, y, cfg, x_true, z):
             x_p = _dense(n, support, values)
             x_p += corr
             pruned = top_k_support(x_p, cfg.k)
-            delta_support = coefficients = None
+            delta_support = None
             values = x_p[pruned.as_array()]
             if float(np.linalg.norm(values)) > DIVERGENCE_FACTOR * y_norm:
                 raise Divergence(
@@ -194,14 +193,13 @@ def _pursue(algorithm, D, y, cfg, x_true, z):
         else:
             delta_support = top_k_support(corr, grow * cfg.k)
             merged = support.union(delta_support)
-            coefficients = least_squares_on_support(D, merged, y, z)
-            pruned, kept_positions = _prune(merged, coefficients, cfg.k)
-            values = least_squares_on_support(D, pruned, y, z) if resolve else coefficients[kept_positions]
+            coef = least_squares_on_support(D, merged, y, z)
+            pruned, kept_positions = _prune(merged, coef, cfg.k)
+            values = least_squares_on_support(D, pruned, y, z) if resolve else coef[kept_positions]
         trace.append(
             IterationRecord(
                 delta_support=delta_support,
                 pruned_support=pruned,
-                coefficients=coefficients,
                 estimate_values=values,
                 estimate_error=_error_vs(x_true, n, pruned, values),
             )
@@ -425,13 +423,6 @@ def _typed(*types):
 _INT, _NUMBER, _LIST, _OBJECT = _typed(int), _typed(int, float), _typed(list), _typed(dict)
 
 
-def _sigma(value):
-    sigma = float(_NUMBER(value))
-    if not 0 <= sigma < math.inf:
-        raise ValueError(f"must be finite and nonnegative, got {sigma!r}")
-    return sigma
-
-
 def _field(path, obj, key, read, optional=False, prefix=""):
     """obj[key] through `read` (None for an optional null); any fault is a ValueError naming the file and field."""
     name = prefix + key
@@ -446,26 +437,38 @@ def _field(path, obj, key, read, optional=False, prefix=""):
         raise ValueError(f"{path}: field {name!r}: {exc}") from None
 
 
-def _check_size(items, size, n_atoms=math.inf):
-    """`items` if it holds `size` of them (None: any number) and, a support, indices below n_atoms."""
-    if size is not None and len(items) != size:
-        raise ValueError(f"holds {len(items)} values, expected {size}")
-    if isinstance(items, SupportSet) and items.indices and items.indices[-1] >= n_atoms:
-        raise ValueError(f"index {items.indices[-1]} is not below n_atoms = {n_atoms}")
-    return items
-
-
 def _support(value):
     return SupportSet([_INT(i) for i in _LIST(value)])
 
 
 # the IterationRecord fields a trace stores, in JSON key order, with their readers
-_RECORD_FIELDS = {
-    "delta_support": _support,
-    "pruned_support": _support,
-    "coefficients": _array_from_json,
-    "estimate_values": _array_from_json,
-}
+_RECORD_FIELDS = {"delta_support": _support, "pruned_support": _support, "estimate_values": _array_from_json}
+
+
+def _check_trace(path, D, k, x_true, noise, sigma, records):
+    """Raise the first fault of a trace's decoded parts as a ValueError naming the file and field; write_trace
+    calls it before it opens the file and read_trace after decoding. `records` are (line number, record) pairs."""
+
+    def fault(name, message):
+        return ValueError(f"{path}: field {name!r}: {message}")
+
+    for name, values, size in (("x_true.values", x_true.values, D.n_atoms), ("noise", noise, D.m)):
+        if len(values) != size:
+            raise fault(name, f"holds {len(values)} values, expected {size}")
+    if not np.all(np.isfinite(noise)):
+        raise fault("noise", "holds a value that is not finite")
+    if sigma is not None and not 0 <= sigma < math.inf:
+        raise fault("sigma", f"must be finite and nonnegative, got {sigma!r}")
+    if not records:
+        raise ValueError(f"{path}: the trace has no iterations")
+    for number, r in records:
+        if len(r.pruned_support) != k:
+            raise fault("k", f"{k}, but line {number} prunes to {len(r.pruned_support)} atoms")
+        if len(r.estimate_values) != k:
+            raise fault("estimate_values", f"holds {len(r.estimate_values)} values, expected {k}")
+        for name, support in (("delta_support", r.delta_support), ("pruned_support", r.pruned_support)):
+            if support and support.indices[-1] >= D.n_atoms:
+                raise fault(name, f"index {support.indices[-1]} is not below n_atoms = {D.n_atoms}")
 
 
 def write_trace(path, result, D, x_true, noise, sigma=None):
@@ -475,21 +478,23 @@ def write_trace(path, result, D, x_true, noise, sigma=None):
     (dictionary, ground truth, noise), so diagnostics can replay the file
     standalone; each following line is one iteration's _RECORD_FIELDS. Every
     float array is the base64 of its little-endian float64 bytes, so it reads back bit-exact.
+    A trace read_trace would reject raises its ValueError before the file is opened.
     """
-    if not result.trace:
-        raise ValueError(f"a {result.algorithm.value} result has no iterations to trace")
-    if x_true.k != result.estimate.k:
-        raise ValueError(f"x_true.k = {x_true.k} differs from the solver's k = {result.estimate.k}")
+    k = result.estimate.k
+    if x_true.k != k:
+        raise ValueError(f"{path}: x_true.k = {x_true.k} differs from the solver's k = {k}")
+    sigma = None if sigma is None else float(sigma)
+    _check_trace(path, D, k, x_true, noise, sigma, list(enumerate(result.trace, start=2)))
     header = {
         "record": "header",
         "algorithm": result.algorithm.value,
-        "k": result.estimate.k,
+        "k": k,
         "m": D.m,
         "n_atoms": D.n_atoms,
         "dictionary": _array_to_json(D.entries),
         "x_true": {"values": _array_to_json(x_true.values), "support": _to_json(x_true.support)},
         "noise": _array_to_json(noise),
-        "sigma": None if sigma is None else float(sigma),
+        "sigma": sigma,
     }
     with open(path, "w", newline="") as fh:
         fh.write(json.dumps(header) + "\n")
@@ -517,12 +522,12 @@ def read_trace(path):
     """Load a trace file written by write_trace.
 
     The header's algorithm decides what a record holds: SP and CoSaMP records
-    must carry delta_support and coefficients, IHT records are read without
-    them, x_true takes the header's k, and each estimate_error is computed from x_true
-    as the solver does (an older trace's stored one is ignored). A malformed file (a
-    line that is not JSON, a missing or null field, a value of the wrong type, an array
-    stored as a list of floats by an older sparselab, parts that disagree in size, an
-    index past n_atoms) raises ValueError naming the file and the line or field.
+    must carry delta_support, IHT records are read without it, x_true takes the
+    header's k, and each estimate_error is computed from x_true as the solver does (an
+    older trace's stored one, like its coefficients, is ignored). A malformed file (a line
+    that is not JSON, a missing or null field, a value of the wrong type, an array stored
+    as a list of floats by an older sparselab, any fault write_trace refuses) raises
+    ValueError naming the file and the line or field.
     """
     lines = []
     with open(path) as fh:
@@ -536,35 +541,24 @@ def read_trace(path):
     if not lines or not isinstance(lines[0][1], dict) or lines[0][1].get("record") != "header":
         raise ValueError(f"{path}: missing trace header line")
     h = lines[0][1]
-    m, n = shape = _field(path, h, "m", _INT), _field(path, h, "n_atoms", _INT)
+    _, n = shape = _field(path, h, "m", _INT), _field(path, h, "n_atoms", _INT)
     k = _field(path, h, "k", _INT)
     algorithm = _field(path, h, "algorithm", Algorithm)
-    unread = ("delta_support", "coefficients") if algorithm is Algorithm.IHT else ()
+    unread = ("delta_support",) if algorithm is Algorithm.IHT else ()
     dictionary = _field(path, h, "dictionary", lambda value: Dictionary(_array_from_json(value).reshape(shape)))
     x = _field(path, h, "x_true", _OBJECT)
-    readers = {"values": lambda value: _check_size(_array_from_json(value), n), "support": _support}
+    readers = {"values": _array_from_json, "support": _support}
     parts = {key: _field(path, x, key, read, prefix="x_true.") for key, read in readers.items()}
     # the signal's own checks (support within values, zero off it, k) name x_true
     x = _field(path, h, "x_true", lambda _: SparseSignal(**parts, k=k))
-    records, before = [], SupportSet(())
+    records = []
     for number, obj in lines[1:]:
         if not isinstance(obj, dict) or obj.get("record") != "iteration":
             raise ValueError(f"{path}: line {number} is not an iteration record")
         values = {name: None if name in unread else _field(path, obj, name, read) for name, read in _RECORD_FIELDS.items()}
-        pruned, delta = values["pruned_support"], values["delta_support"]
-        if len(pruned) != k:
-            raise ValueError(f"{path}: field 'k': {k}, but line {number} prunes to {len(pruned)} atoms")
-        sizes = {"coefficients": None if delta is None else len(before.union(delta)), "estimate_values": k}
-        for name in ("delta_support", "pruned_support", *sizes):
-            _field(path, values, name, lambda items: _check_size(items, sizes.get(name), n), optional=True)
-        records.append(IterationRecord(**values, estimate_error=_error_vs(x, n, pruned, values["estimate_values"])))
-        before = pruned
-    return TraceBundle(
-        algorithm=algorithm,
-        k=k,
-        dictionary=dictionary,
-        records=tuple(records),
-        x_true=x,
-        noise=_field(path, h, "noise", lambda value: _check_size(_array_from_json(value), m)),
-        sigma=_field(path, h, "sigma", _sigma, optional=True),
-    )
+        records.append((number, IterationRecord(**values, estimate_error=None)))
+    noise = _field(path, h, "noise", _array_from_json)
+    sigma = _field(path, h, "sigma", lambda value: float(_NUMBER(value)), optional=True)
+    _check_trace(path, dictionary, k, x, noise, sigma, records)
+    records = tuple(replace(r, estimate_error=_error_vs(x, n, r.pruned_support, r.estimate_values)) for _, r in records)
+    return TraceBundle(algorithm, k, dictionary, records, x, noise, sigma)

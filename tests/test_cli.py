@@ -14,7 +14,7 @@ import pytest
 from sparselab import guarantees
 from sparselab.cli import build_parser, main
 from sparselab.experiment import generate_dictionary, generate_signal
-from sparselab.linalg import import_dictionary_csv
+from sparselab.linalg import Dictionary, import_dictionary_csv
 from sparselab.metrics import rip_exact, rip_monte_carlo
 from sparselab.pursuit import FixedIterations, PursuitConfig, cosamp, iht, read_trace, subspace_pursuit, write_trace
 
@@ -362,14 +362,12 @@ class TestDiagnose:
         "field, edit",
         [
             ("noise", lambda h, r: h.pop("noise")),
-            ("coefficients", lambda h, r: r.pop("coefficients")),
             ("x_true.support", lambda h, r: h["x_true"].pop("support")),
             ("k", lambda h, r: h.update(k="2")),
             ("pruned_support", lambda h, r: r.update(pruned_support="0,1")),
             ("estimate_values", lambda h, r: r.update(estimate_values=None)),
             # arrays as lists of floats: the format of older sparselab traces
             ("dictionary", lambda h, r: h.update(dictionary=np.eye(12, 18).tolist())),
-            ("coefficients", lambda h, r: r.update(coefficients=[0.5, 0.25])),
             # 7 and 12 bytes: not a whole number of float64 values
             ("noise", lambda h, r: h.update(noise=base64.b64encode(bytes(7)).decode())),
             ("x_true.values", lambda h, r: h["x_true"].update(values=base64.b64encode(bytes(12)).decode())),
@@ -397,12 +395,22 @@ class TestDiagnose:
         # k is stored once, in the header; an x_true.k other than it used to exit 2
         self.assert_ignored(tmp_path, capsys, lambda h, records: h["x_true"].update(k=3))
 
-    @pytest.mark.parametrize("field", ["delta_support", "coefficients"])
     @pytest.mark.parametrize("solver", [subspace_pursuit, cosamp], ids=["sp", "cosamp"])
-    def test_null_merge_field_exits_2_naming_it(self, tmp_path, capsys, solver, field):
-        # SP and CoSaMP records must carry both; a null delta_support in record 1
+    def test_null_merge_field_exits_2_naming_it(self, tmp_path, capsys, solver):
+        # SP and CoSaMP records must carry delta_support; a null one in record 1
         # used to crash diagnostics with an AttributeError traceback and exit 1
-        self.assert_rejected_naming(tmp_path, capsys, field, lambda h, r: r.update({field: None}), solver)
+        self.assert_rejected_naming(tmp_path, capsys, "delta_support", lambda h, r: r.update(delta_support=None), solver)
+
+    @pytest.mark.parametrize(
+        "stored",
+        [lambda: [0.5, 0.25], lambda: None, lambda: floats(np.ones(5)), lambda: floats(np.ones(4))],
+        ids=["list_of_floats", "null", "wrong_length", "base64"],
+    )
+    @pytest.mark.parametrize("solver", [subspace_pursuit, cosamp], ids=["sp", "cosamp"])
+    def test_stored_coefficients_are_ignored(self, tmp_path, capsys, solver, stored):
+        # older traces store each record's merged least-squares solve, which nothing reads; a bad,
+        # missing or null one used to exit 2, and now any is ignored like an unknown key
+        self.assert_ignored(tmp_path, capsys, lambda h, records: [r.update(coefficients=stored()) for r in records], solver)
 
     def test_iht_trace_that_stores_coefficients_reads_the_same(self, tmp_path, capsys):
         # older IHT traces store each record's estimate again as coefficients, and x_true.k
@@ -413,7 +421,7 @@ class TestDiagnose:
 
         self.assert_ignored(tmp_path, capsys, older, solver=iht)
         records = read_trace(tmp_path / "trace.jsonl").records
-        assert all(r.delta_support is None and r.coefficients is None for r in records)
+        assert all(r.delta_support is None for r in records)
 
     @pytest.mark.parametrize(
         "field, edit",
@@ -424,7 +432,7 @@ class TestDiagnose:
             ("pruned_support", lambda h, r: r.update(pruned_support=[1, 99])),
             ("delta_support", lambda h, r: r.update(delta_support=[18, 19])),
             ("estimate_values", lambda h, r: r.update(estimate_values=floats(np.ones(3)))),
-            ("coefficients", lambda h, r: r.update(coefficients=floats(np.ones(5)))),
+            ("noise", lambda h, r: h.update(noise=floats(np.r_[math.nan, decoded(h["noise"])[1:]]))),
             ("k", lambda h, r: h.update(k=3)),
             ("sigma", lambda h, r: h.update(sigma=-0.1)),
             ("sigma", lambda h, r: h.update(sigma=math.nan)),
@@ -438,7 +446,7 @@ class TestDiagnose:
             "pruned_support_past_n_atoms",
             "delta_support_past_n_atoms",
             "estimate_values_length",
-            "coefficients_length",
+            "noise_non_finite",
             "header_k",
             "sigma_negative",
             "sigma_nan",
@@ -449,6 +457,42 @@ class TestDiagnose:
     def test_inconsistent_trace_exits_2_naming_the_field(self, tmp_path, capsys, field, edit):
         # each used to exit 0, or exit 2 with a message that named no file or field
         self.assert_rejected_naming(tmp_path, capsys, field, edit)
+
+    @pytest.mark.parametrize(
+        "field, edit",
+        [
+            ("noise", lambda a: a.update(noise=np.zeros(5))),
+            ("x_true.values", lambda a: a.update(x_true=generate_signal(30, 2, 45))),
+            ("sigma", lambda a: a.update(sigma=-0.1)),
+            ("sigma", lambda a: a.update(sigma=math.nan)),
+            ("noise", lambda a: a.update(noise=np.r_[math.nan, a["noise"][1:]])),
+            # SP's first delta_support on the 20-atom dictionary holds atom 17
+            ("delta_support", lambda a: a.update(D=Dictionary(a["D"].entries[:, :15]), x_true=generate_signal(15, 2, 45))),
+        ],
+        ids=["noise_length", "truth_length", "sigma_negative", "sigma_nan", "noise_non_finite", "result_past_n_atoms"],
+    )
+    def test_writer_refuses_what_the_reader_rejects(self, tmp_path, field, edit):
+        # write_trace used to write each of these, and only read_trace or diagnose refused the file
+        D = generate_dictionary(12, 20, 44)
+        x = generate_signal(20, 2, 45)
+        e = 0.1 * np.random.default_rng(46).standard_normal(12)
+        res = subspace_pursuit(D, D.entries @ x.values + e, PursuitConfig(k=2, halting=FixedIterations(3)), x_true=x)
+        assert 17 in res.trace[0].delta_support
+        args = {"result": res, "D": D, "x_true": x, "noise": e, "sigma": 0.1}
+        edit(args)
+        path = tmp_path / "trace.jsonl"
+        with pytest.raises(ValueError) as info:
+            write_trace(path, **args)
+        assert str(info.value).startswith(f"{path}: field {field!r}: ")
+        assert not path.exists()
+
+    def test_header_only_trace_exits_2_naming_the_file(self, tmp_path, capsys):
+        # a trace with no iteration line used to read as 0 records, then stop diagnostics with no path
+        path = self.make_trace(tmp_path)
+        path.write_text(path.read_text().splitlines(keepends=True)[0])
+        code, stdout, stderr = run_cli(capsys, "diagnose", "--in", str(path), "--delta", "0.9")
+        assert code == 2 and stdout == ""
+        assert stderr.startswith(f"error[ValueError]: {path}: ")
 
     def test_stored_merged_support_is_ignored(self, tmp_path, capsys):
         # the merged support is derived from the previous pruned support and delta_support;
