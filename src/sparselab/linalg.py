@@ -35,16 +35,13 @@ RANK_RCOND = 1e-12
 GRAM_EIG_FLOOR = 1e-4
 ZERO_COLUMN_TOL = 1e-14
 _INT64_MAX = np.iinfo(np.int64).max
-# rows per block when copying into column-major order (columns per block into
-# row-major): a whole-matrix transposing copy strides through memory, a block
-# stays in cache
+# rows per block when copying into column-major order: a whole-matrix
+# transposing copy strides through memory, a block stays in cache
 _COPY_BLOCK = 32
 
 
-def _copy_in_blocks(a, order="F"):
-    """A copy of the 2-d array `a` in `order`, "F" (column-major) or "C" (row-major)."""
-    if order == "C":
-        return _copy_in_blocks(a.T).T
+def _copy_in_blocks(a):
+    """A column-major (F-contiguous) copy of the 2-d array `a`."""
     out = np.empty(a.shape, order="F")
     for i in range(0, a.shape[0], _COPY_BLOCK):
         out[i : i + _COPY_BLOCK] = a[i : i + _COPY_BLOCK]

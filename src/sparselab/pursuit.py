@@ -39,7 +39,6 @@ from .linalg import (
     Dictionary,
     SparseSignal,
     SupportSet,
-    _copy_in_blocks,
     least_squares_on_support,
     top_k_support,
 )
@@ -390,13 +389,7 @@ def _to_json(value):
 
 def _array_to_json(a):
     """A float array as base64 of its little-endian float64 bytes, row-major: exact, and far faster than a list of floats."""
-    a = np.asarray(a, dtype="<f8")
-    # base64 reads a C-contiguous buffer as it is; the row-major copy is a
-    # temporary, freed before the decode allocates the string
-    encoded = base64.b64encode(
-        _copy_in_blocks(a, "C") if a.ndim == 2 and not a.flags.c_contiguous else np.ascontiguousarray(a)
-    )
-    return encoded.decode("ascii")
+    return base64.b64encode(np.ascontiguousarray(a, dtype="<f8")).decode("ascii")
 
 
 def _array_from_json(value):
@@ -433,7 +426,7 @@ def _field(path, obj, key, read, optional=False, prefix=""):
         return None
     try:
         return read(value)
-    except (TypeError, ValueError, NonFinite) as exc:
+    except (TypeError, ValueError, OverflowError, NonFinite) as exc:
         raise ValueError(f"{path}: field {name!r}: {exc}") from None
 
 
@@ -441,17 +434,25 @@ def _support(value):
     return SupportSet([_INT(i) for i in _LIST(value)])
 
 
+def _size(value):
+    if _INT(value) < 1:
+        raise ValueError(f"must be at least 1, got {value}")
+    return value
+
+
 # the IterationRecord fields a trace stores, in JSON key order, with their readers
 _RECORD_FIELDS = {"delta_support": _support, "pruned_support": _support, "estimate_values": _array_from_json}
 
 
-def _check_trace(path, D, k, x_true, noise, sigma, records):
+def _check_trace(path, algorithm, D, k, x_true, noise, sigma, records):
     """Raise the first fault of a trace's decoded parts as a ValueError naming the file and field; write_trace
-    calls it before it opens the file and read_trace after decoding. `records` are (line number, record) pairs."""
+    calls it before it opens the file and read_trace after decoding. Record i is iteration i, from 1."""
 
     def fault(name, message):
         return ValueError(f"{path}: field {name!r}: {message}")
 
+    if x_true.k != k:
+        raise ValueError(f"{path}: x_true.k = {x_true.k} differs from the solver's k = {k}")
     for name, values, size in (("x_true.values", x_true.values, D.n_atoms), ("noise", noise, D.m)):
         if len(values) != size:
             raise fault(name, f"holds {len(values)} values, expected {size}")
@@ -461,11 +462,16 @@ def _check_trace(path, D, k, x_true, noise, sigma, records):
         raise fault("sigma", f"must be finite and nonnegative, got {sigma!r}")
     if not records:
         raise ValueError(f"{path}: the trace has no iterations")
-    for number, r in records:
+    if algorithm not in _RULES:
+        raise fault("algorithm", f"{algorithm.value} runs no iterations")
+    adds = _RULES[algorithm][0] is not None
+    for i, r in enumerate(records, start=1):
         if len(r.pruned_support) != k:
-            raise fault("k", f"{k}, but line {number} prunes to {len(r.pruned_support)} atoms")
+            raise fault("k", f"{k}, but iteration {i} prunes to {len(r.pruned_support)} atoms")
         if len(r.estimate_values) != k:
             raise fault("estimate_values", f"holds {len(r.estimate_values)} values, expected {k}")
+        if (r.delta_support is None) == adds:
+            raise fault("delta_support", f"{algorithm.value} iteration {i} must hold {'its added atoms' if adds else 'null'}")
         for name, support in (("delta_support", r.delta_support), ("pruned_support", r.pruned_support)):
             if support and support.indices[-1] >= D.n_atoms:
                 raise fault(name, f"index {support.indices[-1]} is not below n_atoms = {D.n_atoms}")
@@ -477,27 +483,25 @@ def write_trace(path, result, D, x_true, noise, sigma=None):
     The first line is a header with k and the full problem instance
     (dictionary, ground truth, noise), so diagnostics can replay the file
     standalone; each following line is one iteration's _RECORD_FIELDS. Every
-    float array is the base64 of its little-endian float64 bytes, so it reads back bit-exact.
+    float array is the base64 of its little-endian float64 bytes, so it reads back bit-exact;
+    the dictionary's is written a block of rows at a time and is never held whole as text.
     A trace read_trace would reject raises its ValueError before the file is opened.
     """
     k = result.estimate.k
-    if x_true.k != k:
-        raise ValueError(f"{path}: x_true.k = {x_true.k} differs from the solver's k = {k}")
     sigma = None if sigma is None else float(sigma)
-    _check_trace(path, D, k, x_true, noise, sigma, list(enumerate(result.trace, start=2)))
-    header = {
-        "record": "header",
-        "algorithm": result.algorithm.value,
-        "k": k,
-        "m": D.m,
-        "n_atoms": D.n_atoms,
-        "dictionary": _array_to_json(D.entries),
+    _check_trace(path, result.algorithm, D, k, x_true, noise, sigma, result.trace)
+    head = {"record": "header", "algorithm": result.algorithm.value, "k": k, "m": D.m, "n_atoms": D.n_atoms}
+    tail = {
         "x_true": {"values": _array_to_json(x_true.values), "support": _to_json(x_true.support)},
         "noise": _array_to_json(noise),
         "sigma": sigma,
     }
     with open(path, "w", newline="") as fh:
-        fh.write(json.dumps(header) + "\n")
+        fh.write(json.dumps(head)[:-1] + ', "dictionary": "')
+        # 48 rows, a multiple of 3, are whole base64 groups, so the blocks join into one encoding
+        for i in range(0, D.m, 48):
+            fh.write(_array_to_json(D.entries[i : i + 48]))
+        fh.write('", ' + json.dumps(tail)[1:] + "\n")
         for r in result.trace:
             line = {name: _to_json(getattr(r, name)) for name in _RECORD_FIELDS}
             fh.write(json.dumps({"record": "iteration", **line}) + "\n")
@@ -521,13 +525,11 @@ class TraceBundle:
 def read_trace(path):
     """Load a trace file written by write_trace.
 
-    The header's algorithm decides what a record holds: SP and CoSaMP records
-    must carry delta_support, IHT records are read without it, x_true takes the
-    header's k, and each estimate_error is computed from x_true as the solver does (an
-    older trace's stored one, like its coefficients, is ignored). A malformed file (a line
-    that is not JSON, a missing or null field, a value of the wrong type, an array stored
-    as a list of floats by an older sparselab, any fault write_trace refuses) raises
-    ValueError naming the file and the line or field.
+    x_true takes the header's k, and each estimate_error is computed from x_true as the solver
+    does (an older trace's stored one, like its coefficients, is ignored). A malformed file (a line
+    that is not JSON, a missing field, a value of the wrong type, an array stored as a list of
+    floats by an older sparselab, any fault write_trace refuses) raises ValueError naming the file
+    and the line or field.
     """
     lines = []
     with open(path) as fh:
@@ -541,10 +543,9 @@ def read_trace(path):
     if not lines or not isinstance(lines[0][1], dict) or lines[0][1].get("record") != "header":
         raise ValueError(f"{path}: missing trace header line")
     h = lines[0][1]
-    _, n = shape = _field(path, h, "m", _INT), _field(path, h, "n_atoms", _INT)
+    _, n = shape = _field(path, h, "m", _size), _field(path, h, "n_atoms", _size)
     k = _field(path, h, "k", _INT)
     algorithm = _field(path, h, "algorithm", Algorithm)
-    unread = ("delta_support",) if algorithm is Algorithm.IHT else ()
     dictionary = _field(path, h, "dictionary", lambda value: Dictionary(_array_from_json(value).reshape(shape)))
     x = _field(path, h, "x_true", _OBJECT)
     readers = {"values": _array_from_json, "support": _support}
@@ -555,10 +556,11 @@ def read_trace(path):
     for number, obj in lines[1:]:
         if not isinstance(obj, dict) or obj.get("record") != "iteration":
             raise ValueError(f"{path}: line {number} is not an iteration record")
-        values = {name: None if name in unread else _field(path, obj, name, read) for name, read in _RECORD_FIELDS.items()}
-        records.append((number, IterationRecord(**values, estimate_error=None)))
+        # which solvers' records hold a null delta_support is _check_trace's rule
+        values = {name: _field(path, obj, name, read, optional=name == "delta_support") for name, read in _RECORD_FIELDS.items()}
+        records.append(IterationRecord(**values, estimate_error=None))
     noise = _field(path, h, "noise", _array_from_json)
     sigma = _field(path, h, "sigma", lambda value: float(_NUMBER(value)), optional=True)
-    _check_trace(path, dictionary, k, x, noise, sigma, records)
-    records = tuple(replace(r, estimate_error=_error_vs(x, n, r.pruned_support, r.estimate_values)) for _, r in records)
+    _check_trace(path, algorithm, dictionary, k, x, noise, sigma, records)
+    records = tuple(replace(r, estimate_error=_error_vs(x, n, r.pruned_support, r.estimate_values)) for r in records)
     return TraceBundle(algorithm, k, dictionary, records, x, noise, sigma)

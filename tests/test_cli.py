@@ -1,5 +1,6 @@
 import argparse
 import base64
+import dataclasses
 import json
 import math
 import os
@@ -16,13 +17,18 @@ from sparselab.cli import build_parser, main
 from sparselab.experiment import generate_dictionary, generate_signal
 from sparselab.linalg import Dictionary, import_dictionary_csv
 from sparselab.metrics import rip_exact, rip_monte_carlo
-from sparselab.pursuit import FixedIterations, PursuitConfig, cosamp, iht, read_trace, subspace_pursuit, write_trace
+from sparselab.pursuit import Algorithm, FixedIterations, PursuitConfig, cosamp, iht, read_trace, subspace_pursuit, write_trace
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _with_first_record(result, **changes):
+    first, *rest = result.trace
+    return dataclasses.replace(result, trace=(dataclasses.replace(first, **changes), *rest))
 
 
 class TestGenDict:
@@ -438,6 +444,12 @@ class TestDiagnose:
             ("sigma", lambda h, r: h.update(sigma=math.nan)),
             ("dictionary", lambda h, r: h.update(dictionary=floats(np.r_[math.nan, decoded(h["dictionary"])[1:]]))),
             ("dictionary", lambda h, r: h.update(dictionary=floats(2 * decoded(h["dictionary"])))),
+            ("sigma", lambda h, r: h.update(sigma=10**400)),
+            ("m", lambda h, r: h.update(m=-12)),
+            ("n_atoms", lambda h, r: h.update(n_atoms=-20)),
+            # the SP records under an IHT header: each holds the atoms SP added
+            ("delta_support", lambda h, r: h.update(algorithm="iht")),
+            ("algorithm", lambda h, r: h.update(algorithm="oracle")),
         ],
         ids=[
             "truth_length",
@@ -452,10 +464,15 @@ class TestDiagnose:
             "sigma_nan",
             "dictionary_nan",
             "dictionary_not_normalized",
+            "sigma_past_float",
+            "m_negative",
+            "n_atoms_negative",
+            "iht_delta_support",
+            "oracle_header",
         ],
     )
     def test_inconsistent_trace_exits_2_naming_the_field(self, tmp_path, capsys, field, edit):
-        # each used to exit 0, or exit 2 with a message that named no file or field
+        # each used to exit 0, exit 1 with a traceback, or exit 2 with a message that named no file or field
         self.assert_rejected_naming(tmp_path, capsys, field, edit)
 
     @pytest.mark.parametrize(
@@ -468,8 +485,20 @@ class TestDiagnose:
             ("noise", lambda a: a.update(noise=np.r_[math.nan, a["noise"][1:]])),
             # SP's first delta_support on the 20-atom dictionary holds atom 17
             ("delta_support", lambda a: a.update(D=Dictionary(a["D"].entries[:, :15]), x_true=generate_signal(15, 2, 45))),
+            ("delta_support", lambda a: a.update(result=_with_first_record(a["result"], delta_support=None))),
+            # SP's records, each holding the atoms SP added, as an IHT result
+            ("delta_support", lambda a: a.update(result=dataclasses.replace(a["result"], algorithm=Algorithm.IHT))),
         ],
-        ids=["noise_length", "truth_length", "sigma_negative", "sigma_nan", "noise_non_finite", "result_past_n_atoms"],
+        ids=[
+            "noise_length",
+            "truth_length",
+            "sigma_negative",
+            "sigma_nan",
+            "noise_non_finite",
+            "result_past_n_atoms",
+            "sp_null_delta_support",
+            "iht_delta_support",
+        ],
     )
     def test_writer_refuses_what_the_reader_rejects(self, tmp_path, field, edit):
         # write_trace used to write each of these, and only read_trace or diagnose refused the file

@@ -1,3 +1,5 @@
+import base64
+import json
 import pickle
 import types
 
@@ -174,13 +176,12 @@ class TestLayout:
         D = normalize_columns(A)
         assert np.array_equal(D.entries, A / np.linalg.norm(A, axis=0))
 
-    @pytest.mark.parametrize("order", ["C", "F"])
     @pytest.mark.parametrize("source_order", ["C", "F"])
-    def test_blocked_copy_is_exact_in_either_order(self, order, source_order):
+    def test_blocked_copy_is_exact_in_either_order(self, source_order):
         # more rows and columns than one copy block, and a partial last block
         A = np.asarray(np.random.default_rng(27).standard_normal((77, 90)), order=source_order)
-        out = _copy_in_blocks(A, order)
-        assert out.flags[f"{order}_CONTIGUOUS"]
+        out = _copy_in_blocks(A)
+        assert out.flags.f_contiguous
         assert np.array_equal(out, A)
 
     def test_input_is_copied_not_aliased(self):
@@ -210,6 +211,18 @@ class TestLayout:
         write_trace(ours, res, D, x_true=x, noise=e)
         write_trace(theirs, res, row_major, x_true=x, noise=e)
         assert ours.read_bytes() == theirs.read_bytes()
+
+    @pytest.mark.parametrize("m", [47, 48, 100])
+    def test_dictionary_written_in_row_blocks_is_one_encoding(self, tmp_path, m):
+        # a partial block, exactly one block and several with a partial last one,
+        # at an n_atoms that is not a multiple of 3
+        D = generate_dictionary(m, 103, 28)
+        res = subspace_pursuit(D, np.random.default_rng(29).standard_normal(m), PursuitConfig(k=2, halting=FixedIterations(2)))
+        path = tmp_path / "t.jsonl"
+        write_trace(path, res, D, x_true=generate_signal(103, 2, 30), noise=np.zeros(m))
+        header = json.loads(path.read_text().splitlines()[0])
+        assert header["dictionary"] == base64.b64encode(np.ascontiguousarray(D.entries, dtype="<f8")).decode("ascii")
+        assert np.array_equal(read_trace(path).dictionary.entries, D.entries)
 
 
 class TestSupportSet:
