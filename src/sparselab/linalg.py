@@ -40,12 +40,21 @@ _INT64_MAX = np.iinfo(np.int64).max
 _COPY_BLOCK = 32
 
 
-def _copy_in_blocks(a):
-    """A column-major (F-contiguous) copy of the 2-d array `a`."""
+def _copy_in_blocks(a, norms=None):
+    """A column-major (F-contiguous) copy of the 2-d array `a`, each column divided by its entry of `norms` if given."""
     out = np.empty(a.shape, order="F")
     for i in range(0, a.shape[0], _COPY_BLOCK):
-        out[i : i + _COPY_BLOCK] = a[i : i + _COPY_BLOCK]
+        block = a[i : i + _COPY_BLOCK]
+        out[i : i + _COPY_BLOCK] = block if norms is None else block / norms
     return out
+
+
+def _matrix(a):
+    """`a` as a float64 array, which must be 2-d."""
+    a = np.asarray(a, dtype=np.float64)
+    if a.ndim != 2:
+        raise ValueError("dictionary entries must be a 2-d matrix")
+    return a
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,26 +68,32 @@ class Dictionary:
     entries: np.ndarray
 
     def __post_init__(self):
-        entries = np.asarray(self.entries, dtype=np.float64)
-        if entries.ndim != 2:
-            raise ValueError("dictionary entries must be a 2-d matrix")
+        entries = _matrix(self.entries)
         if not np.all(np.isfinite(entries)):
             raise NonFinite("dictionary entries must be finite")
-        m, n = entries.shape
+        Dictionary._from_atoms(_copy_in_blocks(entries), self)
+
+    @classmethod
+    def _from_atoms(cls, atoms, dictionary=None):
+        """A dictionary holding `atoms`, a finite 2-d column-major array no caller keeps, with no copy; the
+        m <= N and unit-norm checks still run. __post_init__ passes itself as `dictionary` to end in them."""
+        dictionary = object.__new__(cls) if dictionary is None else dictionary
+        m, n = atoms.shape
         if m > n:
             raise ValueError(f"need m <= N, got m={m}, N={n}")
-        norms = np.linalg.norm(entries, axis=0)
+        # the einsum squares no full-size temporary, as np.linalg.norm would
+        norms = np.sqrt(np.einsum("ij,ij->j", atoms, atoms))
         bad = np.where(np.abs(norms - 1.0) > NORMALIZATION_RTOL)[0]
         if bad.size:
             raise ValueError(
                 f"column {bad[0]} has norm {norms[bad[0]]!r}; "
                 "construct via normalize_columns"
             )
-        atoms = _copy_in_blocks(entries)
         atoms.setflags(write=False)
-        object.__setattr__(self, "entries", atoms)
-        object.__setattr__(self, "_gram", None)
-        object.__setattr__(self, "_gram_form", None)
+        object.__setattr__(dictionary, "entries", atoms)
+        object.__setattr__(dictionary, "_gram", None)
+        object.__setattr__(dictionary, "_gram_form", None)
+        return dictionary
 
     def __reduce__(self):
         # an unpickled ndarray is writable; rebuilding through __init__ keeps
@@ -153,9 +168,17 @@ class SupportSet:
             raise ValueError("support indices must be strictly increasing")
         if idx.size and idx[0] < 0:
             raise ValueError("support indices must be nonnegative")
+        SupportSet._from_sorted(idx, self)
+
+    @classmethod
+    def _from_sorted(cls, idx, support=None):
+        """A support holding `idx`, a strictly increasing nonnegative int64 array no caller keeps, unchecked: only
+        for indices derived from checked ones. __post_init__ passes itself as `support` once it has checked."""
+        support = object.__new__(cls) if support is None else support
         idx.setflags(write=False)
-        object.__setattr__(self, "indices", tuple(idx.tolist()))
-        object.__setattr__(self, "_array", idx)
+        object.__setattr__(support, "indices", tuple(idx.tolist()))
+        object.__setattr__(support, "_array", idx)
+        return support
 
     def __reduce__(self):
         # rebuild through __init__, so an unpickled support's array is read-only too
@@ -178,10 +201,10 @@ class SupportSet:
     # Python sets, not np.union1d: at a support's size they are faster,
     # and np.union1d's first call imports numpy.ma (about 1.6 MB resident)
     def union(self, other):
-        return SupportSet(sorted(set(self.indices) | set(other.indices)))
+        return SupportSet._from_sorted(np.array(sorted(set(self.indices) | set(other.indices)), dtype=np.int64))
 
     def difference(self, other):
-        return SupportSet(sorted(set(self.indices) - set(other.indices)))
+        return SupportSet._from_sorted(np.array(sorted(set(self.indices) - set(other.indices)), dtype=np.int64))
 
 
 @dataclass(frozen=True, eq=False)
@@ -209,6 +232,19 @@ class SparseSignal:
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
 
+    @classmethod
+    def _estimate(cls, n, support, values, k):
+        """The length-n signal with `values` on `support`, checking only that they are finite: for an
+        estimate whose support the library derived, so it holds at most k indices, each below n."""
+        if not np.all(np.isfinite(values)):
+            raise NonFinite("signal values must be finite")
+        dense = np.zeros(n)
+        dense[support.as_array()] = values
+        dense.setflags(write=False)
+        signal = object.__new__(cls)
+        vars(signal).update(values=dense, support=support, k=k)
+        return signal
+
     def on_support(self):
         return self.values[self.support.as_array()]
 
@@ -231,14 +267,14 @@ def normalize_columns(matrix):
     NonFinite
         On NaN or Inf entries.
     """
-    matrix = np.asarray(matrix, dtype=np.float64)
+    matrix = _matrix(matrix)
     if not np.all(np.isfinite(matrix)):
         raise NonFinite("input matrix contains NaN or Inf")
     norms = np.linalg.norm(matrix, axis=0)
     small = np.where(norms < ZERO_COLUMN_TOL)[0]
     if small.size:
         raise ZeroColumn(int(small[0]), float(norms[small[0]]))
-    return Dictionary(matrix / norms)
+    return Dictionary._from_atoms(_copy_in_blocks(matrix, norms))
 
 
 def _cholesky_solve(D, T, y, z):
@@ -246,8 +282,10 @@ def _cholesky_solve(D, T, y, z):
     factor, which certifies lambda_min(G_TT) >= GRAM_EIG_FLOOR up to rounding near 1e-14."""
     t = T.as_array()
     g = D._gram[t[:, None], t]
+    shifted = g.copy()
+    shifted.flat[:: t.size + 1] -= GRAM_EIG_FLOOR
     try:
-        np.linalg.cholesky(g - GRAM_EIG_FLOOR * np.eye(t.size))
+        np.linalg.cholesky(shifted)
     except np.linalg.LinAlgError:
         return None
     return np.linalg.solve(g, D.columns(T).T @ y if z is None else z[t])
@@ -307,7 +345,7 @@ def top_k_support(v, k):
             below, tied = key < edge, key == edge
         below[np.flatnonzero(tied)[: k - np.count_nonzero(below)]] = True
         chosen = np.flatnonzero(below)
-    return SupportSet(chosen)
+    return SupportSet._from_sorted(chosen)
 
 
 def export_dictionary_csv(D, path):

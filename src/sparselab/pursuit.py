@@ -138,7 +138,7 @@ def _prune(merged, coef, k):
     """Atom indices of the k largest-magnitude coefficients on `merged`."""
     keep = top_k_support(coef, k).as_array()
     # keep and merged are both sorted, so merged[keep] is too
-    return SupportSet(merged.as_array()[keep]), keep
+    return SupportSet._from_sorted(merged.as_array()[keep]), keep
 
 
 def _dense(n, support, values):
@@ -205,9 +205,8 @@ def _pursue(algorithm, D, y, cfg, x_true, z):
         )
         support = pruned
     # SP's residual step already solved least squares on the final support
-    estimate = SparseSignal(_dense(n, support, values), support, cfg.k)
     return PursuitResult(
-        estimate=estimate,
+        estimate=SparseSignal._estimate(n, support, values, cfg.k),
         trace=tuple(trace),
         algorithm=algorithm,
     )
@@ -265,7 +264,7 @@ def iht(D, y, cfg, x_true=None, *, z=None):
 def oracle_estimator(D, y, T):
     """Least squares on the true support; the benchmark every bound targets."""
     coef = least_squares_on_support(D, T, y)
-    estimate = SparseSignal(_dense(D.n_atoms, T, coef), T, max(T.cardinality, 1))
+    estimate = SparseSignal._estimate(D.n_atoms, T, coef, max(T.cardinality, 1))
     return PursuitResult(estimate=estimate, trace=(), algorithm=Algorithm.ORACLE)
 
 
@@ -470,6 +469,8 @@ def _check_trace(path, algorithm, D, k, x_true, noise, sigma, records):
             raise fault("k", f"{k}, but iteration {i} prunes to {len(r.pruned_support)} atoms")
         if len(r.estimate_values) != k:
             raise fault("estimate_values", f"holds {len(r.estimate_values)} values, expected {k}")
+        if not np.all(np.isfinite(r.estimate_values)):
+            raise fault("estimate_values", f"iteration {i} holds a value that is not finite")
         if (r.delta_support is None) == adds:
             raise fault("delta_support", f"{algorithm.value} iteration {i} must hold {'its added atoms' if adds else 'null'}")
         for name, support in (("delta_support", r.delta_support), ("pruned_support", r.pruned_support)):

@@ -31,6 +31,11 @@ def _with_first_record(result, **changes):
     return dataclasses.replace(result, trace=(dataclasses.replace(first, **changes), *rest))
 
 
+def _first_value_nan(header, record):
+    """A trace edit: the first record's first estimate value becomes NaN."""
+    record.update(estimate_values=floats(np.r_[math.nan, decoded(record["estimate_values"])[1:]]))
+
+
 class TestGenDict:
     def test_writes_loadable_dictionary(self, tmp_path, capsys):
         out = tmp_path / "d.csv"
@@ -430,8 +435,8 @@ class TestDiagnose:
         assert all(r.delta_support is None for r in records)
 
     @pytest.mark.parametrize(
-        "field, edit",
-        [
+        "field, edit, solver",
+        [(field, edit, subspace_pursuit) for field, edit in [
             ("x_true.values", lambda h, r: h["x_true"].update(values=floats(np.zeros(20)))),
             ("x_true", lambda h, r: h["x_true"].update(support=[0, 18])),
             ("noise", lambda h, r: h.update(noise=floats(np.zeros(10)))),
@@ -450,7 +455,11 @@ class TestDiagnose:
             # the SP records under an IHT header: each holds the atoms SP added
             ("delta_support", lambda h, r: h.update(algorithm="iht")),
             ("algorithm", lambda h, r: h.update(algorithm="oracle")),
-        ],
+            # SP's checks read only supports, so diagnose used to print the clean file's output
+            ("estimate_values", _first_value_nan),
+        ]]
+        # diagnose used to print lhs=nan ... FAIL for the first iteration
+        + [("estimate_values", _first_value_nan, iht)],
         ids=[
             "truth_length",
             "truth_support_past_n_atoms",
@@ -469,11 +478,13 @@ class TestDiagnose:
             "n_atoms_negative",
             "iht_delta_support",
             "oracle_header",
+            "sp_estimate_values_nan",
+            "iht_estimate_values_nan",
         ],
     )
-    def test_inconsistent_trace_exits_2_naming_the_field(self, tmp_path, capsys, field, edit):
+    def test_inconsistent_trace_exits_2_naming_the_field(self, tmp_path, capsys, field, edit, solver):
         # each used to exit 0, exit 1 with a traceback, or exit 2 with a message that named no file or field
-        self.assert_rejected_naming(tmp_path, capsys, field, edit)
+        self.assert_rejected_naming(tmp_path, capsys, field, edit, solver)
 
     @pytest.mark.parametrize(
         "field, edit",
@@ -488,6 +499,7 @@ class TestDiagnose:
             ("delta_support", lambda a: a.update(result=_with_first_record(a["result"], delta_support=None))),
             # SP's records, each holding the atoms SP added, as an IHT result
             ("delta_support", lambda a: a.update(result=dataclasses.replace(a["result"], algorithm=Algorithm.IHT))),
+            ("estimate_values", lambda a: a.update(result=_with_first_record(a["result"], estimate_values=np.r_[math.nan, a["result"].trace[0].estimate_values[1:]]))),
         ],
         ids=[
             "noise_length",
@@ -498,6 +510,7 @@ class TestDiagnose:
             "result_past_n_atoms",
             "sp_null_delta_support",
             "iht_delta_support",
+            "estimate_values_nan",
         ],
     )
     def test_writer_refuses_what_the_reader_rejects(self, tmp_path, field, edit):

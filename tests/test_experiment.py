@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sparselab import experiment
+from sparselab import experiment, pursuit
 from sparselab.errors import ConfigError
 from sparselab.experiment import (
     CSV_COLUMNS,
@@ -380,6 +380,21 @@ class TestRunTrial:
         # the other solver on the same draw is unaffected
         assert records[1].error is None
         assert math.isfinite(records[1].squared_error)
+
+    def test_non_finite_estimate_recorded_not_raised(self, monkeypatch):
+        # an estimate skips SparseSignal's checks but its finite check; an inf fails that solver only
+        D = generate_dictionary(32, 64, 1)
+        algs = (Algorithm.SP, Algorithm.IHT, Algorithm.ORACLE)
+        clean = run_trial(D, 3, 0.5, algs, seed=9, halting="fixed:5")
+        solve = pursuit.least_squares_on_support
+        # the solvers pass z = D^T y and the oracle does not, so only SP's solves return inf
+        monkeypatch.setattr(pursuit, "least_squares_on_support", lambda D, T, y, z=None: solve(D, T, y) if z is None else np.full(len(T), np.inf))
+        with np.errstate(invalid="ignore"):
+            records = run_trial(D, 3, 0.5, algs, seed=9, halting="fixed:5")
+        assert records[0].error == "NonFinite"
+        assert math.isnan(records[0].squared_error)
+        # the other solver and the oracle on the same draw are unaffected
+        assert records[1:] == clean[1:]
 
     def test_record_carries_no_trial_index(self):
         # a direct call has no sweep to number it in; the seed is not an index

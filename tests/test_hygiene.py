@@ -113,3 +113,84 @@ def test_detects_an_unreferenced_private_definition():
     )
     b = "from .a import _used\n"
     assert unreferenced_private_definitions(a, [a, b]) == ["_Gone", "_dead"]
+
+
+# linalg's types, whose private classmethods build instances without the public constructor's checks
+LINALG_TYPES = {"Dictionary", "SparseSignal", "SupportSet"}
+# outside linalg.py, the functions that may call those constructors: each passes values it derived itself
+UNCHECKED_CALLERS = {"pursuit.py": {"_prune", "_pursue", "oracle_estimator"}}
+
+
+def unchecked_constructors(linalg_source):
+    """The private classmethods that linalg's types define."""
+    return {
+        item.name
+        for node in ast.parse(linalg_source).body
+        if isinstance(node, ast.ClassDef) and node.name in LINALG_TYPES
+        for item in node.body
+        if isinstance(item, ast.FunctionDef)
+        and item.name.startswith("_")
+        and not item.name.startswith("__")
+        and any(isinstance(d, ast.Name) and d.id == "classmethod" for d in item.decorator_list)
+    }
+
+
+def unchecked_calls(source, constructors):
+    """(top-level definition, callee) for each call in source to one of `constructors` or to object.__new__ of a linalg type."""
+    calls = []
+    for top in ast.parse(source).body:
+        for node in ast.walk(top):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+                continue
+            func, args = node.func, node.args
+            if func.attr in constructors:
+                calls.append((getattr(top, "name", None), func.attr))
+            elif (
+                func.attr == "__new__"
+                and isinstance(func.value, ast.Name)
+                and func.value.id == "object"
+                and args
+                and isinstance(args[0], ast.Name)
+                and args[0].id in LINALG_TYPES
+            ):
+                calls.append((getattr(top, "name", None), "object.__new__"))
+    return calls
+
+
+def test_unchecked_constructors_stay_private():
+    # no reader of outside input (read_trace, import_dictionary_csv, config parsing) may build an unchecked value
+    constructors = unchecked_constructors((PACKAGE / "linalg.py").read_text())
+    assert constructors == {"_estimate", "_from_atoms", "_from_sorted"}
+    callers = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "linalg.py":
+            continue
+        calls = unchecked_calls(path.read_text(), constructors)
+        assert "object.__new__" not in {callee for _, callee in calls}, path.name
+        if calls:
+            callers[path.name] = {caller for caller, _ in calls}
+    assert callers == UNCHECKED_CALLERS
+
+
+def test_detects_unchecked_construction():
+    source = (
+        "def read(v):\n    return SupportSet._from_sorted(v)\n"
+        "def _prune(m, keep):\n    return SupportSet._from_sorted(m[keep]), keep\n"
+        "def forge():\n    return object.__new__(SparseSignal)\n"
+        "def fine():\n    return object.__new__(Other), SupportSet(())\n"
+        "X = Dictionary._from_atoms(a)\n"
+    )
+    assert unchecked_calls(source, {"_from_sorted", "_from_atoms"}) == [
+        ("read", "_from_sorted"),
+        ("_prune", "_from_sorted"),
+        ("forge", "object.__new__"),
+        (None, "_from_atoms"),
+    ]
+    linalg = (
+        "class SupportSet:\n"
+        "    @classmethod\n    def _from_sorted(cls, idx):\n        pass\n"
+        "    @classmethod\n    def of(cls, idx):\n        pass\n"
+        "    def _adopt(self, idx):\n        pass\n"
+        "class Other:\n    @classmethod\n    def _make(cls):\n        pass\n"
+    )
+    assert unchecked_constructors(linalg) == {"_from_sorted"}

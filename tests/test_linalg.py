@@ -551,6 +551,31 @@ class TestTopKOracle:
             assert got == want
 
 
+def assert_same_as_checked(support):
+    """`support` is what SupportSet builds from its indices, in every way a caller sees it."""
+    checked = SupportSet(support.indices)
+    assert support == checked and hash(support) == hash(checked)
+    assert support.indices == checked.indices and all(type(i) is int for i in support.indices)
+    array = support.as_array()
+    assert array.dtype == np.int64 and not array.flags.writeable
+    assert array.tolist() == checked.as_array().tolist()
+
+
+class TestDerivedSupports:
+    """top_k_support, union and difference skip SupportSet's checks; what they build must pass them unchanged."""
+
+    VALUES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, -2.5, 1e-3, float("nan"), float("inf"), float("-inf")])
+
+    @given(st.lists(VALUES, min_size=1, max_size=24), st.lists(VALUES, min_size=1, max_size=24), st.data())
+    @settings(deadline=None, max_examples=200)
+    def test_equal_their_checked_rebuilds(self, v, w, data):
+        # few distinct values, so ties, infinities and NaNs meet at the top-k boundary
+        a = top_k_support(np.array(v), data.draw(st.integers(min_value=0, max_value=len(v))))
+        b = top_k_support(np.array(w), data.draw(st.integers(min_value=0, max_value=len(w))))
+        for support in (a, b, a.union(b), b.union(a), a.difference(b), b.difference(a)):
+            assert_same_as_checked(support)
+
+
 class TestCsvRoundTrip:
     def test_header_and_exact_values(self, tmp_path):
         D = generate_dictionary(5, 8, 13)

@@ -767,6 +767,54 @@ class TestProperties:
         assert np.all(np.isfinite(res.estimate.values))
 
 
+def _solve(name, D, y, x, k):
+    if name == "oracle":
+        return oracle_estimator(D, y, x.support)
+    return SOLVERS[name](D, y, PursuitConfig(k=k, halting=FixedIterations(4)))
+
+
+class TestDerivedValues:
+    """The supports and estimates a solver builds skip the public constructors' checks; each must pass them unchanged."""
+
+    @given(
+        st.sampled_from(["sp", "cosamp", "iht", "oracle"]),
+        st.booleans(),
+        st.integers(min_value=1, max_value=4),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(deadline=None, max_examples=80)
+    def test_equal_their_checked_rebuilds(self, name, gram, k, seed):
+        rng = np.random.default_rng(seed)
+        D = normalize_columns(rng.standard_normal((16, 24)))
+        x = generate_signal(24, k, seed)
+        y = D.entries @ x.values + rng.standard_normal(16)
+        try:
+            res = _solve(name, D.with_gram() if gram else D, y, x, k)
+        except Divergence:
+            return
+        for record in res.trace:
+            for support in (record.delta_support, record.pruned_support):
+                if support is not None:
+                    assert support == SupportSet(support.indices) and support.as_array().dtype == np.int64
+        est = res.estimate
+        checked = SparseSignal(est.values, est.support, est.k)
+        assert est.values.tobytes() == checked.values.tobytes() and not est.values.flags.writeable
+        assert est.support == checked.support and hash(est.support) == hash(SupportSet(est.support.indices))
+        assert type(est.k) is int and est.k == checked.k
+
+
+class TestKeptFiniteCheck:
+    """The unchecked estimate keeps the one check that can fail there: a value that is not finite."""
+
+    @pytest.mark.parametrize("name", ["sp", "oracle"])
+    def test_infinite_coefficient_raises_non_finite(self, monkeypatch, name):
+        monkeypatch.setattr(pursuit, "least_squares_on_support", lambda D, T, y, z=None: np.full(len(T), np.inf))
+        D = generate_dictionary(16, 24, 3)
+        x = generate_signal(24, 2, 4)
+        with np.errstate(invalid="ignore"), pytest.raises(NonFinite):
+            _solve(name, D, D.entries @ x.values, x, 2)
+
+
 class TestInputChecks:
     @pytest.mark.parametrize(
         "call, message",
