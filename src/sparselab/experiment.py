@@ -215,7 +215,7 @@ def generate_signal(n_atoms, k, seed):
     has magnitude at least 10.
     """
     values, support = _spikes_from_rng(np.random.default_rng(seed), n_atoms, k)
-    return SparseSignal(values, support, k)
+    return SparseSignal(values, support)
 
 
 def run_trial(D, k, sigma, algorithms, seed, halting="practical"):

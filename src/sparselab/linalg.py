@@ -209,11 +209,10 @@ class SupportSet:
 
 @dataclass(frozen=True, eq=False)
 class SparseSignal:
-    """A length-N vector with explicit support and intended cardinality k."""
+    """A length-N vector, zero off its support; it holds no k, as the k it is read against is a run's."""
 
     values: np.ndarray
     support: SupportSet
-    k: int
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=np.float64).copy()
@@ -221,8 +220,6 @@ class SparseSignal:
             raise ValueError("signal values must be a 1-d vector")
         if not np.all(np.isfinite(values)):
             raise NonFinite("signal values must be finite")
-        if self.support.cardinality > self.k:
-            raise ValueError("support larger than intended cardinality k")
         if self.support.indices and self.support.indices[-1] >= values.size:
             raise ValueError("support index out of range")
         off = np.ones(values.size, dtype=bool)
@@ -233,16 +230,16 @@ class SparseSignal:
         object.__setattr__(self, "values", values)
 
     @classmethod
-    def _estimate(cls, n, support, values, k):
+    def _estimate(cls, n, support, values):
         """The length-n signal with `values` on `support`, checking only that they are finite: for an
-        estimate whose support the library derived, so it holds at most k indices, each below n."""
+        estimate whose support the library derived, so each of its indices is below n."""
         if not np.all(np.isfinite(values)):
             raise NonFinite("signal values must be finite")
         dense = np.zeros(n)
         dense[support.as_array()] = values
         dense.setflags(write=False)
         signal = object.__new__(cls)
-        vars(signal).update(values=dense, support=support, k=k)
+        vars(signal).update(values=dense, support=support)
         return signal
 
     def on_support(self):

@@ -141,16 +141,10 @@ def _prune(merged, coef, k):
     return SupportSet._from_sorted(merged.as_array()[keep]), keep
 
 
-def _dense(n, support, values):
-    x = np.zeros(n)
-    x[support.as_array()] = values
-    return x
-
-
-def _error_vs(x_true, n, support, values):
-    if x_true is None:
-        return None
-    return float(np.linalg.norm(x_true.values - _dense(n, support, values)))
+def _error_vs(x_true, support, values):
+    diff = x_true.values.copy()
+    diff[support.as_array()] -= values
+    return float(np.linalg.norm(diff))
 
 
 # per solver: atoms added each iteration as a multiple of k (None: a unit
@@ -170,7 +164,6 @@ def _pursue(algorithm, D, y, cfg, x_true, z):
     if math.isinf(y_norm):  # the plain norm squares each entry, so past about 1e154 scale y first
         y_norm = float(np.max(np.abs(y))) * float(np.linalg.norm(y / np.max(np.abs(y))))
     n_iters = cfg.halting.iterations(y_norm, cfg.k)
-    n = D.n_atoms
     support = SupportSet(())
     values = np.zeros(0)
     # D^T y is also the first iteration's correlation, with the residual y
@@ -180,8 +173,8 @@ def _pursue(algorithm, D, y, cfg, x_true, z):
         if ell > 1:
             corr = D.residual_correlation(y, z, support, values)
         if grow is None:
-            x_p = _dense(n, support, values)
-            x_p += corr
+            x_p = corr.copy()
+            x_p[support.as_array()] += values
             pruned = top_k_support(x_p, cfg.k)
             delta_support = None
             values = x_p[pruned.as_array()]
@@ -200,13 +193,13 @@ def _pursue(algorithm, D, y, cfg, x_true, z):
                 delta_support=delta_support,
                 pruned_support=pruned,
                 estimate_values=values,
-                estimate_error=_error_vs(x_true, n, pruned, values),
+                estimate_error=None if x_true is None else _error_vs(x_true, pruned, values),
             )
         )
         support = pruned
     # SP's residual step already solved least squares on the final support
     return PursuitResult(
-        estimate=SparseSignal._estimate(n, support, values, cfg.k),
+        estimate=SparseSignal._estimate(D.n_atoms, support, values),
         trace=tuple(trace),
         algorithm=algorithm,
     )
@@ -264,7 +257,7 @@ def iht(D, y, cfg, x_true=None, *, z=None):
 def oracle_estimator(D, y, T):
     """Least squares on the true support; the benchmark every bound targets."""
     coef = least_squares_on_support(D, T, y)
-    estimate = SparseSignal._estimate(D.n_atoms, T, coef, max(T.cardinality, 1))
+    estimate = SparseSignal._estimate(D.n_atoms, T, coef)
     return PursuitResult(estimate=estimate, trace=(), algorithm=Algorithm.ORACLE)
 
 
@@ -313,19 +306,18 @@ def recurrence_diagnostics(
 ):
     """Check the per-iteration error inequalities against a recorded trace.
 
-    For SP verifies, at every iteration, the merged-support miss bound, the
-    pruned-support miss bound, and their composition; for CoSaMP and IHT the
-    estimate-error recurrence. `delta` is the constant of order
-    guarantees.rip_order(algorithm, k); when omitted it is computed exactly
-    by enumeration (subject to `budget`), and an omitted noise correlation
-    is the exact worst case, max over |T| = k of ||D_T* e||_2. The
-    inequalities are only guarantees when the family's condition holds (see
-    condition_met); checks are evaluated and reported regardless. Past the
-    SP/CoSaMP pole (delta >= 1) every rhs is +inf, so those checks hold
-    vacuously. Iteration i is the trace's i-th record, the iterate before the
-    first is the empty support with value 0, and each merged support is
-    derived from delta_support, so a slice such as res.trace[2:] reads
-    exactly as a trace that started from zero.
+    For SP verifies, at every iteration, the merged-support miss bound, the pruned-support
+    miss bound, and their composition; for CoSaMP and IHT the estimate-error recurrence.
+    k is the run's: the number of atoms the records prune to. An x_true of more than k atoms,
+    or a record `algorithm` never makes, raises ValueError. `delta` is the constant of order
+    guarantees.rip_order(algorithm, k); when omitted it is computed exactly by enumeration
+    (subject to `budget`), and an omitted noise correlation is the exact worst case, max over
+    |T| = k of ||D_T* e||_2. The inequalities are only guarantees when the family's condition
+    holds (see condition_met); checks are evaluated and reported regardless. Past the
+    SP/CoSaMP pole (delta >= 1) every rhs is +inf, so those checks hold vacuously. Iteration
+    i is the trace's i-th record, the iterate before the first is the empty support with
+    value 0, and each merged support is derived from delta_support, so a slice such as
+    res.trace[2:] reads exactly as a trace that started from zero.
 
     Returns
     -------
@@ -336,7 +328,8 @@ def recurrence_diagnostics(
         raise ValueError("the oracle estimator has no iteration recurrence")
     if not trace:
         raise ValueError("empty trace")
-    k = x_true.k
+    k = len(trace[0].pruned_support)
+    _check_run(algorithm, k, x_true, trace, lambda name, message: ValueError(f"{name}: {message}"))
     if delta is None:
         delta = metrics.rip_exact(D, guarantees.rip_order(algorithm, k), budget=budget).delta
     if noise_correlation is None:
@@ -344,10 +337,9 @@ def recurrence_diagnostics(
     nc = float(noise_correlation)
     d = float(delta)
     steps = guarantees.recurrence_coefficients(algorithm, d)
-    T, n = x_true.support, D.n_atoms
 
     def miss(support):
-        return float(np.linalg.norm(x_true.values[T.difference(support).as_array()]))
+        return float(np.linalg.norm(x_true.values[x_true.support.difference(support).as_array()]))
 
     checks = []
     before = SupportSet(()), np.zeros(0)
@@ -362,8 +354,8 @@ def recurrence_diagnostics(
                 ("composed_recurrence", miss_pruned, composed, miss_prev),
             )
         else:
-            err = _error_vs(x_true, n, r.pruned_support, r.estimate_values)
-            inequalities = (("estimate_recurrence", err, steps[0], _error_vs(x_true, n, *before)),)
+            err = _error_vs(x_true, r.pruned_support, r.estimate_values)
+            inequalities = (("estimate_recurrence", err, steps[0], _error_vs(x_true, *before)),)
         for name, lhs, (a, b), prev in inequalities:
             rhs = _bound(a, prev, b, nc)
             checks.append(DiagnosticCheck(ell, name, lhs, rhs, _holds(lhs, rhs)))
@@ -443,6 +435,16 @@ def _size(value):
 _RECORD_FIELDS = {"delta_support": _support, "pruned_support": _support, "estimate_values": _array_from_json}
 
 
+def _check_run(algorithm, k, x_true, records, fault):
+    """Raise fault(field, message) if x_true holds over k atoms or a record's delta_support is not what `algorithm` records."""
+    if len(x_true.support) > k:
+        raise fault("x_true.support", f"holds {len(x_true.support)} atoms, more than k = {k}")
+    adds = _RULES[algorithm][0] is not None
+    for i, r in enumerate(records, start=1):
+        if (r.delta_support is None) == adds:
+            raise fault("delta_support", f"{algorithm.value} iteration {i} must hold {'its added atoms' if adds else 'null'}")
+
+
 def _check_trace(path, algorithm, D, k, x_true, noise, sigma, records):
     """Raise the first fault of a trace's decoded parts as a ValueError naming the file and field; write_trace
     calls it before it opens the file and read_trace after decoding. Record i is iteration i, from 1."""
@@ -450,8 +452,6 @@ def _check_trace(path, algorithm, D, k, x_true, noise, sigma, records):
     def fault(name, message):
         return ValueError(f"{path}: field {name!r}: {message}")
 
-    if x_true.k != k:
-        raise ValueError(f"{path}: x_true.k = {x_true.k} differs from the solver's k = {k}")
     for name, values, size in (("x_true.values", x_true.values, D.n_atoms), ("noise", noise, D.m)):
         if len(values) != size:
             raise fault(name, f"holds {len(values)} values, expected {size}")
@@ -463,7 +463,7 @@ def _check_trace(path, algorithm, D, k, x_true, noise, sigma, records):
         raise ValueError(f"{path}: the trace has no iterations")
     if algorithm not in _RULES:
         raise fault("algorithm", f"{algorithm.value} runs no iterations")
-    adds = _RULES[algorithm][0] is not None
+    _check_run(algorithm, k, x_true, records, fault)
     for i, r in enumerate(records, start=1):
         if len(r.pruned_support) != k:
             raise fault("k", f"{k}, but iteration {i} prunes to {len(r.pruned_support)} atoms")
@@ -471,8 +471,6 @@ def _check_trace(path, algorithm, D, k, x_true, noise, sigma, records):
             raise fault("estimate_values", f"holds {len(r.estimate_values)} values, expected {k}")
         if not np.all(np.isfinite(r.estimate_values)):
             raise fault("estimate_values", f"iteration {i} holds a value that is not finite")
-        if (r.delta_support is None) == adds:
-            raise fault("delta_support", f"{algorithm.value} iteration {i} must hold {'its added atoms' if adds else 'null'}")
         for name, support in (("delta_support", r.delta_support), ("pruned_support", r.pruned_support)):
             if support and support.indices[-1] >= D.n_atoms:
                 raise fault(name, f"index {support.indices[-1]} is not below n_atoms = {D.n_atoms}")
@@ -488,7 +486,7 @@ def write_trace(path, result, D, x_true, noise, sigma=None):
     the dictionary's is written a block of rows at a time and is never held whole as text.
     A trace read_trace would reject raises its ValueError before the file is opened.
     """
-    k = result.estimate.k
+    k = len(result.estimate.support)
     sigma = None if sigma is None else float(sigma)
     _check_trace(path, result.algorithm, D, k, x_true, noise, sigma, result.trace)
     head = {"record": "header", "algorithm": result.algorithm.value, "k": k, "m": D.m, "n_atoms": D.n_atoms}
@@ -526,11 +524,11 @@ class TraceBundle:
 def read_trace(path):
     """Load a trace file written by write_trace.
 
-    x_true takes the header's k, and each estimate_error is computed from x_true as the solver
-    does (an older trace's stored one, like its coefficients, is ignored). A malformed file (a line
-    that is not JSON, a missing field, a value of the wrong type, an array stored as a list of
-    floats by an older sparselab, any fault write_trace refuses) raises ValueError naming the file
-    and the line or field.
+    The header's k is the trace's only k (x_true may hold fewer atoms), and each estimate_error is
+    computed from x_true as the solver does (an older trace's stored one, like its coefficients, is
+    ignored). A malformed file (a line that is not JSON, a missing field, a value of the wrong type,
+    an array stored as a list of floats by an older sparselab, any fault write_trace refuses) raises
+    ValueError naming the file and the line or field.
     """
     lines = []
     with open(path) as fh:
@@ -544,15 +542,15 @@ def read_trace(path):
     if not lines or not isinstance(lines[0][1], dict) or lines[0][1].get("record") != "header":
         raise ValueError(f"{path}: missing trace header line")
     h = lines[0][1]
-    _, n = shape = _field(path, h, "m", _size), _field(path, h, "n_atoms", _size)
+    shape = _field(path, h, "m", _size), _field(path, h, "n_atoms", _size)
     k = _field(path, h, "k", _INT)
     algorithm = _field(path, h, "algorithm", Algorithm)
     dictionary = _field(path, h, "dictionary", lambda value: Dictionary(_array_from_json(value).reshape(shape)))
     x = _field(path, h, "x_true", _OBJECT)
     readers = {"values": _array_from_json, "support": _support}
     parts = {key: _field(path, x, key, read, prefix="x_true.") for key, read in readers.items()}
-    # the signal's own checks (support within values, zero off it, k) name x_true
-    x = _field(path, h, "x_true", lambda _: SparseSignal(**parts, k=k))
+    # the signal's own checks (support within values, zero off it) name x_true
+    x = _field(path, h, "x_true", lambda _: SparseSignal(**parts))
     records = []
     for number, obj in lines[1:]:
         if not isinstance(obj, dict) or obj.get("record") != "iteration":
@@ -563,5 +561,5 @@ def read_trace(path):
     noise = _field(path, h, "noise", _array_from_json)
     sigma = _field(path, h, "sigma", lambda value: float(_NUMBER(value)), optional=True)
     _check_trace(path, algorithm, dictionary, k, x, noise, sigma, records)
-    records = tuple(replace(r, estimate_error=_error_vs(x, n, r.pruned_support, r.estimate_values)) for r in records)
+    records = tuple(replace(r, estimate_error=_error_vs(x, r.pruned_support, r.estimate_values)) for r in records)
     return TraceBundle(algorithm, k, dictionary, records, x, noise, sigma)

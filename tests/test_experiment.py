@@ -264,10 +264,21 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="exponent a"):
             small_config(a=a)
 
-    @pytest.mark.parametrize("sigma", [math.nan, math.inf])
-    def test_non_finite_sigma(self, sigma):
-        with pytest.raises(ConfigError, match="sigma_values"):
-            small_config(sigma_values=(0.5, sigma))
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"sigma_values": (0.5, math.nan)}, "sigma_values"),
+            ({"sigma_values": (0.5, math.inf)}, "sigma_values"),
+            ({"m": 0}, "need 1 <= m <= n_atoms, got m=0"),
+            ({"n_atoms": 31}, "need 1 <= m <= n_atoms, got m=32, n_atoms=31"),
+            ({"k_values": ()}, "k_values must be a nonempty list of positive integers"),
+            ({"k_values": (2, 0)}, "k_values must be a nonempty list of positive integers"),
+        ],
+        ids=["sigma_nan", "sigma_inf", "m_zero", "n_atoms_below_m", "k_values_empty", "k_values_zero"],
+    )
+    def test_value_out_of_range(self, overrides, message):
+        with pytest.raises(ConfigError, match=message):
+            small_config(**overrides)
 
     def test_duplicate_k_values(self):
         with pytest.raises(ConfigError, match="k_values has duplicate"):

@@ -297,18 +297,12 @@ class TestSparseSignal:
         v = np.zeros(5)
         v[2] = 1.0
         with pytest.raises(ValueError):
-            SparseSignal(v, SupportSet((1,)), 1)
-
-    def test_support_larger_than_k_rejected(self):
-        v = np.zeros(5)
-        v[[1, 2]] = 1.0
-        with pytest.raises(ValueError):
-            SparseSignal(v, SupportSet((1, 2)), 1)
+            SparseSignal(v, SupportSet((1,)))
 
     def test_on_support_values(self):
         v = np.zeros(6)
         v[[1, 4]] = [3.0, -2.0]
-        x = SparseSignal(v, SupportSet((1, 4)), 2)
+        x = SparseSignal(v, SupportSet((1, 4)))
         assert np.array_equal(x.on_support(), [3.0, -2.0])
 
 
@@ -599,9 +593,9 @@ class TestInputChecks:
         [
             (lambda tmp: Dictionary(np.ones(3)), ValueError, "must be a 2-d matrix"),
             (lambda tmp: Dictionary(np.full((2, 3), np.nan)), NonFinite, "dictionary entries must be finite"),
-            (lambda tmp: SparseSignal(np.zeros((2, 2)), SupportSet(()), 1), ValueError, "must be a 1-d vector"),
-            (lambda tmp: SparseSignal([np.inf, 0.0], SupportSet((0,)), 1), NonFinite, "signal values must be finite"),
-            (lambda tmp: SparseSignal(np.zeros(3), SupportSet((3,)), 1), ValueError, "support index out of range"),
+            (lambda tmp: SparseSignal(np.zeros((2, 2)), SupportSet(())), ValueError, "must be a 1-d vector"),
+            (lambda tmp: SparseSignal([np.inf, 0.0], SupportSet((0,))), NonFinite, "signal values must be finite"),
+            (lambda tmp: SparseSignal(np.zeros(3), SupportSet((3,))), ValueError, "support index out of range"),
             (lambda tmp: top_k_support(np.ones(3), 4), ValueError, r"need 0 <= k <= 3, got 4"),
             (lambda tmp: import_dictionary_csv(write(tmp, "3;4\n1,0,0,0\n")), ValueError, "malformed header '3;4'"),
         ],

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sparselab import pursuit
+from sparselab import cli, pursuit
 from sparselab.errors import Divergence, NonFinite
 from sparselab.guarantees import cosamp_constants, iht_constants, oracle_mse_exact, rip_order, sp_constants
 from sparselab.linalg import Dictionary, SparseSignal, SupportSet, least_squares_on_support, normalize_columns, top_k_support
-from sparselab.metrics import worst_case_noise_correlation
+from sparselab.metrics import rip_exact, worst_case_noise_correlation
 from sparselab.pursuit import (
     MAX_ITERATIONS,
     Algorithm,
@@ -452,7 +452,7 @@ class TestTraceRoundTrip:
         path = tmp_path / "trace.jsonl"
         write_trace(path, res, D, x_true=b, noise=e)
         records = read_trace(path).records
-        want = [_error_vs(b, 40, r.pruned_support, r.estimate_values) for r in res.trace]
+        want = [_error_vs(b, r.pruned_support, r.estimate_values) for r in res.trace]
         assert [r.estimate_error for r in records] == want
         assert want != [r.estimate_error for r in res.trace]
 
@@ -498,7 +498,7 @@ class TestTraceRoundTrip:
         assert (bundle.algorithm, bundle.k, bundle.iterations_run, bundle.sigma) == (Algorithm(name), k, iterations, sigma)
         assert np.array_equal(bundle.dictionary.entries, D.entries)
         assert np.array_equal(bundle.x_true.values, x.values)
-        assert (bundle.x_true.support, bundle.x_true.k) == (x.support, k)
+        assert bundle.x_true.support == x.support
         assert np.array_equal(bundle.noise, e)
         for got, want in zip(bundle.records, res.trace, strict=True):
             for f in fields(IterationRecord):
@@ -520,7 +520,7 @@ class TestTraceRoundTrip:
         entries[:, 2] = (0.6, 0.8)
         entries[:, 3] = (math.sqrt(third), math.sqrt(1.0 - third))
         D = Dictionary(entries)
-        x = SparseSignal(np.array([-0.0, third, 0.0, tiny]), SupportSet((1, 3)), 2)
+        x = SparseSignal(np.array([-0.0, third, 0.0, tiny]), SupportSet((1, 3)))
         noise = np.array([0.1 + 0.2, -0.0])
         record = IterationRecord(
             delta_support=SupportSet((1, 3)),
@@ -528,7 +528,7 @@ class TestTraceRoundTrip:
             estimate_values=np.array([tiny, -tiny]),
             estimate_error=third,
         )
-        estimate = SparseSignal(np.array([0.0, -0.0, 0.0, tiny]), SupportSet((1, 3)), 2)
+        estimate = SparseSignal(np.array([0.0, -0.0, 0.0, tiny]), SupportSet((1, 3)))
         res = PursuitResult(estimate=estimate, trace=(record,), algorithm=Algorithm.SP)
         path = tmp_path / "exact.jsonl"
         write_trace(path, res, D, x_true=x, noise=noise, sigma=third)
@@ -614,7 +614,8 @@ class TestTraceRoundTrip:
         write_trace(path, res, D, x_true=x, noise=np.zeros(12))
         header = json.loads(path.read_text().splitlines()[0])
         assert header["k"] == 2 and set(header["x_true"]) == {"values", "support"}
-        assert read_trace(path).x_true.k == 2
+        bundle = read_trace(path)
+        assert bundle.k == 2 and not hasattr(bundle.x_true, "k")
 
     def test_oracle_result_has_no_trace_to_write(self, tmp_path):
         D = generate_dictionary(10, 18, 42)
@@ -624,13 +625,19 @@ class TestTraceRoundTrip:
         with pytest.raises(ValueError, match="no iterations"):
             write_trace(tmp_path / "oracle.jsonl", res, D, x_true=x, noise=np.zeros(10))
 
-    def test_truth_of_another_k_is_not_written(self, tmp_path):
-        # a trace stores k once, in the header, so a truth of another k could not read back as written
+    def test_truth_of_at_most_k_atoms_is_written(self, tmp_path):
+        # a 2-sparse truth is 3-sparse, so a k = 3 run writes and reads it; a 4-sparse one is not
         D = generate_dictionary(10, 18, 44)
         x = generate_signal(18, 2, 45)
         res = subspace_pursuit(D, D.entries @ x.values, PursuitConfig(k=3, halting=FixedIterations(2)), x_true=x)
-        with pytest.raises(ValueError, match="x_true.k = 2 differs from the solver's k = 3"):
-            write_trace(tmp_path / "t.jsonl", res, D, x_true=x, noise=np.zeros(10))
+        path = tmp_path / "t.jsonl"
+        write_trace(path, res, D, x_true=x, noise=np.zeros(10))
+        bundle = read_trace(path)
+        assert (bundle.k, bundle.x_true.support) == (3, x.support)
+        path.unlink()
+        with pytest.raises(ValueError, match=r"field 'x_true.support': holds 4 atoms, more than k = 3"):
+            write_trace(path, res, D, x_true=generate_signal(18, 4, 45), noise=np.zeros(10))
+        assert not path.exists()
 
 
 class TestRecurrenceDiagnostics:
@@ -744,6 +751,44 @@ class TestRecurrenceDiagnostics:
         with pytest.raises(ValueError):
             recurrence_diagnostics((), x, np.zeros(12), D, "oracle")
 
+    @pytest.mark.parametrize("name", ["sp", "cosamp", "iht"])
+    def test_k_is_the_runs_for_a_sparser_truth(self, tmp_path, capsys, name):
+        # with a 2-sparse truth for a k = 3 run, diagnostics used to take delta of order rip_order(name, 2)
+        # and the noise correlation over 2 atoms, and write_trace refused the pair
+        D = near_orthonormal_dictionary()
+        x = generate_signal(12, 2, 9)
+        e = 0.1 * np.random.default_rng(78).standard_normal(12)
+        res = SOLVERS[name](D, D.entries @ x.values + e, PursuitConfig(k=3, halting=FixedIterations(3)), x_true=x)
+        rep = recurrence_diagnostics(res.trace, x, e, D, name)
+        assert rep.k == 3
+        assert rep.delta == rip_exact(D, rip_order(name, 3)).delta
+        assert rep.noise_correlation == worst_case_noise_correlation(D, e, 3).value
+        path = tmp_path / "trace.jsonl"
+        write_trace(path, res, D, x_true=x, noise=e)
+        capsys.readouterr()
+        assert cli.main(["diagnose", "--in", str(path)]) == 0
+        out = capsys.readouterr().out
+        payload = {f.name: getattr(rep, f.name) for f in fields(rep)}
+        payload.update(algorithm=name, checks=len(rep.checks), all_hold=rep.all_hold)
+        assert json.loads(out[out.index("{") :]) == payload
+        assert recurrence_diagnostics(read_trace(path).records, x, e, D, name).checks == rep.checks
+        path.unlink()
+        x4 = generate_signal(12, 4, 9)
+        with pytest.raises(ValueError, match="x_true.support.*holds 4 atoms, more than k = 3"):
+            write_trace(path, res, D, x_true=x4, noise=e)
+        assert not path.exists()
+        with pytest.raises(ValueError, match="x_true.support: holds 4 atoms, more than k = 3"):
+            recurrence_diagnostics(res.trace, x4, e, D, name)
+
+    @pytest.mark.parametrize("run, checked", [("iht", "sp"), ("iht", "cosamp"), ("sp", "iht"), ("cosamp", "iht")])
+    def test_records_of_another_solver_rejected(self, run, checked):
+        # an IHT trace checked as SP used to crash on SupportSet.union(None); as CoSaMP it ran CoSaMP's recurrence
+        D = near_orthonormal_dictionary()
+        x = generate_signal(12, 2, 9)
+        res = SOLVERS[run](D, D.entries @ x.values, PursuitConfig(k=2, halting=FixedIterations(2)), x_true=x)
+        with pytest.raises(ValueError, match=f"delta_support: {checked} iteration 1 must hold"):
+            recurrence_diagnostics(res.trace, x, np.zeros(12), D, checked, delta=0.1, noise_correlation=0.0)
+
 
 class TestProperties:
     @given(
@@ -797,10 +842,10 @@ class TestDerivedValues:
                 if support is not None:
                     assert support == SupportSet(support.indices) and support.as_array().dtype == np.int64
         est = res.estimate
-        checked = SparseSignal(est.values, est.support, est.k)
+        checked = SparseSignal(est.values, est.support)
         assert est.values.tobytes() == checked.values.tobytes() and not est.values.flags.writeable
         assert est.support == checked.support and hash(est.support) == hash(SupportSet(est.support.indices))
-        assert type(est.k) is int and est.k == checked.k
+        assert len(est.support) <= k and vars(est).keys() == vars(checked).keys()
 
 
 class TestKeptFiniteCheck:
