@@ -130,7 +130,7 @@ def build_parser():
     p.set_defaults(func=_cmd_rip)
 
     p = sub.add_parser("diagnose", help="check recurrences recorded in a trace file")
-    p.add_argument("--in", required=True, help="trace JSONL path")
+    p.add_argument("--in", required=True, help="trace .npz path")
     p.add_argument("--delta", type=float, default=None, help="skip enumeration and use this delta")
     p.add_argument("--budget", type=int, default=ENUMERATION_BUDGET, help="enumeration budget without --delta")
     p.set_defaults(func=_cmd_diagnose)

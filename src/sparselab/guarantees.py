@@ -36,6 +36,12 @@ def _check_delta(delta, below=1.0):
         raise ValueError(f"delta must lie in [0, {below}), got {delta!r}")
 
 
+def _check_noise_correlation(value):
+    """The one check of a noise correlation ||D_T* e||_2, unless None: finite and nonnegative (so never NaN)."""
+    if value is not None and not 0 <= value < math.inf:
+        raise ValueError(f"noise correlation must be finite and nonnegative, got {value!r}")
+
+
 def power_overflows(base, exponent):
     """Whether base**exponent overflows a float, as N**a does for a huge probability exponent a."""
     try:
@@ -212,8 +218,7 @@ def bound_report(algorithm, params, noise_correlation=None, second_delta=None):
     condition_met = False marks them as non-guarantees.
     """
     name = _family(algorithm)
-    if noise_correlation is not None and not 0 <= noise_correlation < math.inf:
-        raise ValueError(f"noise correlation must be finite and nonnegative, got {noise_correlation!r}")
+    _check_noise_correlation(noise_correlation)
     c = ds_constant(params.delta) if name == "ds" else _constants(name, params.delta)[2]
     det = None if noise_correlation is None else c * float(noise_correlation)
     return BoundReport(

@@ -25,10 +25,9 @@ the results can differ from the plain dictionary's in the last bits: IHT's
 values, SP's and CoSaMP's coefficients, and in principle the atoms at a tie.
 """
 
-import base64
 import enum
-import json
 import math
+import zipfile
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -308,8 +307,9 @@ def recurrence_diagnostics(
 
     For SP verifies, at every iteration, the merged-support miss bound, the pruned-support
     miss bound, and their composition; for CoSaMP and IHT the estimate-error recurrence.
-    k is the run's: the number of atoms the records prune to. An x_true of more than k atoms,
-    or a record `algorithm` never makes, raises ValueError. `delta` is the constant of order
+    k is the run's: the number of atoms the records prune to. An x_true or e that does not fit D, an x_true
+    of more than k atoms, a record `algorithm` never makes, or a noise correlation that is negative or not
+    finite raises ValueError. `delta` is the constant of order
     guarantees.rip_order(algorithm, k); when omitted it is computed exactly by enumeration
     (subject to `budget`), and an omitted noise correlation is the exact worst case, max over
     |T| = k of ||D_T* e||_2. The inequalities are only guarantees when the family's condition
@@ -329,12 +329,13 @@ def recurrence_diagnostics(
     if not trace:
         raise ValueError("empty trace")
     k = len(trace[0].pruned_support)
-    _check_run(algorithm, k, x_true, trace, lambda name, message: ValueError(f"{name}: {message}"))
-    if delta is None:
-        delta = metrics.rip_exact(D, guarantees.rip_order(algorithm, k), budget=budget).delta
+    _check_run(algorithm, k, D, x_true, e, trace, lambda name, message: ValueError(f"{name}: {message}"))
     if noise_correlation is None:
         noise_correlation = metrics.worst_case_noise_correlation(D, e, k).value
     nc = float(noise_correlation)
+    guarantees._check_noise_correlation(nc)
+    if delta is None:
+        delta = metrics.rip_exact(D, guarantees.rip_order(algorithm, k), budget=budget).delta
     d = float(delta)
     steps = guarantees.recurrence_coefficients(algorithm, d)
 
@@ -370,91 +371,27 @@ def recurrence_diagnostics(
     )
 
 
-def _to_json(value):
-    if isinstance(value, SupportSet):
-        return list(value.indices)
-    if isinstance(value, np.ndarray):
-        return _array_to_json(value)
-    return value
-
-
-def _array_to_json(a):
-    """A float array as base64 of its little-endian float64 bytes, row-major: exact, and far faster than a list of floats."""
-    return base64.b64encode(np.ascontiguousarray(a, dtype="<f8")).decode("ascii")
-
-
-def _array_from_json(value):
-    if not isinstance(value, str):
-        raise TypeError(f"expected a base64 string of float64 bytes, got {type(value).__name__}")
-    raw = base64.b64decode(value, validate=True)
-    if len(raw) % 8:
-        raise ValueError(f"{len(raw)} bytes is not a whole number of float64 values")
-    return np.frombuffer(raw, dtype="<f8").astype(np.float64)
-
-
-def _typed(*types):
-    """A reader that passes a JSON value of exactly one of `types`."""
-
-    def read(value):
-        # type(), not isinstance: a JSON true is a bool, which isinstance counts as an int
-        if type(value) not in types:
-            raise TypeError(f"expected {' or '.join(t.__name__ for t in types)}, got {type(value).__name__}")
-        return value
-
-    return read
-
-
-_INT, _NUMBER, _LIST, _OBJECT = _typed(int), _typed(int, float), _typed(list), _typed(dict)
-
-
-def _field(path, obj, key, read, optional=False, prefix=""):
-    """obj[key] through `read` (None for an optional null); any fault is a ValueError naming the file and field."""
-    name = prefix + key
-    if key not in obj:
-        raise ValueError(f"{path}: missing field {name!r}")
-    value = obj[key]
-    if value is None and optional:
-        return None
-    try:
-        return read(value)
-    except (TypeError, ValueError, OverflowError, NonFinite) as exc:
-        raise ValueError(f"{path}: field {name!r}: {exc}") from None
-
-
-def _support(value):
-    return SupportSet([_INT(i) for i in _LIST(value)])
-
-
-def _size(value):
-    if _INT(value) < 1:
-        raise ValueError(f"must be at least 1, got {value}")
-    return value
-
-
-# the IterationRecord fields a trace stores, in JSON key order, with their readers
-_RECORD_FIELDS = {"delta_support": _support, "pruned_support": _support, "estimate_values": _array_from_json}
-
-
-def _check_run(algorithm, k, x_true, records, fault):
-    """Raise fault(field, message) if x_true holds over k atoms or a record's delta_support is not what `algorithm` records."""
+def _check_run(algorithm, k, D, x_true, noise, records, fault):
+    """Raise fault(field, message) if x_true or noise does not fit D, x_true holds over k atoms, or a record's
+    delta_support is not what `algorithm` records."""
+    for name, values, size in (("x_true.values", x_true.values, D.n_atoms), ("noise", noise, D.m)):
+        if len(values) != size:
+            raise fault(name, f"holds {len(values)} values, expected {size}")
     if len(x_true.support) > k:
         raise fault("x_true.support", f"holds {len(x_true.support)} atoms, more than k = {k}")
     adds = _RULES[algorithm][0] is not None
     for i, r in enumerate(records, start=1):
         if (r.delta_support is None) == adds:
-            raise fault("delta_support", f"{algorithm.value} iteration {i} must hold {'its added atoms' if adds else 'null'}")
+            raise fault("delta_support", f"{algorithm.value} iteration {i} must hold {'its added atoms' if adds else 'None'}")
 
 
-def _check_trace(path, algorithm, D, k, x_true, noise, sigma, records):
-    """Raise the first fault of a trace's decoded parts as a ValueError naming the file and field; write_trace
-    calls it before it opens the file and read_trace after decoding. Record i is iteration i, from 1."""
+def _check_trace(path, algorithm, D, x_true, noise, sigma, records):
+    """Raise the first fault of a trace's parts as a ValueError naming the file and field: write_trace calls it
+    before it opens the file, read_trace after loading. Record i is iteration i, and k is record 1's atom count."""
 
     def fault(name, message):
         return ValueError(f"{path}: field {name!r}: {message}")
 
-    for name, values, size in (("x_true.values", x_true.values, D.n_atoms), ("noise", noise, D.m)):
-        if len(values) != size:
-            raise fault(name, f"holds {len(values)} values, expected {size}")
     if not np.all(np.isfinite(noise)):
         raise fault("noise", "holds a value that is not finite")
     if sigma is not None and not 0 <= sigma < math.inf:
@@ -463,12 +400,14 @@ def _check_trace(path, algorithm, D, k, x_true, noise, sigma, records):
         raise ValueError(f"{path}: the trace has no iterations")
     if algorithm not in _RULES:
         raise fault("algorithm", f"{algorithm.value} runs no iterations")
-    _check_run(algorithm, k, x_true, records, fault)
+    k = len(records[0].pruned_support)
+    _check_run(algorithm, k, D, x_true, noise, records, fault)
+    widths = {"pruned_support": k, "estimate_values": k, "delta_support": (_RULES[algorithm][0] or 0) * k}
     for i, r in enumerate(records, start=1):
-        if len(r.pruned_support) != k:
-            raise fault("k", f"{k}, but iteration {i} prunes to {len(r.pruned_support)} atoms")
-        if len(r.estimate_values) != k:
-            raise fault("estimate_values", f"holds {len(r.estimate_values)} values, expected {k}")
+        for name, size in widths.items():
+            held = getattr(r, name)
+            if held is not None and len(held) != size:
+                raise fault(name, f"iteration {i} holds {len(held)} entries, expected {size}")
         if not np.all(np.isfinite(r.estimate_values)):
             raise fault("estimate_values", f"iteration {i} holds a value that is not finite")
         for name, support in (("delta_support", r.delta_support), ("pruned_support", r.pruned_support)):
@@ -477,33 +416,30 @@ def _check_trace(path, algorithm, D, k, x_true, noise, sigma, records):
 
 
 def write_trace(path, result, D, x_true, noise, sigma=None):
-    """Serialize a traced pursuit run as JSON lines.
+    """Save a traced pursuit run at `path`, as given, as one uncompressed .npz archive of named arrays.
 
-    The first line is a header with k and the full problem instance
-    (dictionary, ground truth, noise), so diagnostics can replay the file
-    standalone; each following line is one iteration's _RECORD_FIELDS. Every
-    float array is the base64 of its little-endian float64 bytes, so it reads back bit-exact;
-    the dictionary's is written a block of rows at a time and is never held whole as text.
-    A trace read_trace would reject raises its ValueError before the file is opened.
+    It holds the whole problem (dictionary, ground truth, noise), so diagnostics can replay the file alone, and
+    each stored record field as one row per iteration, so k, m, N and the iteration numbers are shapes and row
+    order. Every array reads back bit-exact. A trace read_trace would reject raises before the file is opened.
     """
-    k = len(result.estimate.support)
     sigma = None if sigma is None else float(sigma)
-    _check_trace(path, result.algorithm, D, k, x_true, noise, sigma, result.trace)
-    head = {"record": "header", "algorithm": result.algorithm.value, "k": k, "m": D.m, "n_atoms": D.n_atoms}
-    tail = {
-        "x_true": {"values": _array_to_json(x_true.values), "support": _to_json(x_true.support)},
-        "noise": _array_to_json(noise),
+    noise = np.asarray(noise, dtype=np.float64)
+    _check_trace(path, result.algorithm, D, x_true, noise, sigma, result.trace)
+    trace = result.trace
+    arrays = {
+        "algorithm": result.algorithm.value,
         "sigma": sigma,
+        "dictionary": D.entries,
+        "x_true.values": x_true.values,
+        "x_true.support": x_true.support.as_array(),
+        "noise": noise,
+        "pruned_support": np.array([r.pruned_support.as_array() for r in trace]),
+        "estimate_values": np.array([r.estimate_values for r in trace], dtype=np.float64),
+        "delta_support": None if trace[0].delta_support is None else np.array([r.delta_support.as_array() for r in trace]),
     }
-    with open(path, "w", newline="") as fh:
-        fh.write(json.dumps(head)[:-1] + ', "dictionary": "')
-        # 48 rows, a multiple of 3, are whole base64 groups, so the blocks join into one encoding
-        for i in range(0, D.m, 48):
-            fh.write(_array_to_json(D.entries[i : i + 48]))
-        fh.write('", ' + json.dumps(tail)[1:] + "\n")
-        for r in result.trace:
-            line = {name: _to_json(getattr(r, name)) for name in _RECORD_FIELDS}
-            fh.write(json.dumps({"record": "iteration", **line}) + "\n")
+    # np.savez appends .npz to a path that lacks it, so it writes to an open file
+    with open(path, "wb") as fh:
+        np.savez(fh, **{name: a for name, a in arrays.items() if a is not None})
 
 
 @dataclass(frozen=True, eq=False)
@@ -522,44 +458,49 @@ class TraceBundle:
 
 
 def read_trace(path):
-    """Load a trace file written by write_trace.
+    """Load a trace written by write_trace, without pickle, building each part through its checked constructor.
 
-    The header's k is the trace's only k (x_true may hold fewer atoms), and each estimate_error is
-    computed from x_true as the solver does (an older trace's stored one, like its coefficients, is
-    ignored). A malformed file (a line that is not JSON, a missing field, a value of the wrong type,
-    an array stored as a list of floats by an older sparselab, any fault write_trace refuses) raises
-    ValueError naming the file and the line or field.
+    k is the number of atoms each record prunes to (x_true may hold fewer), and each estimate_error is computed
+    from x_true as the solver does. A file that is no such archive (an older JSON-lines trace, a bare .npy, a
+    truncated file), a missing array, one of the wrong dtype or ndim, and any fault write_trace refuses raise
+    ValueError naming the file and the field.
     """
-    lines = []
-    with open(path) as fh:
-        for number, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
+    try:
+        archive = np.load(path)
+    except (ValueError, EOFError, zipfile.BadZipFile) as exc:
+        raise ValueError(f"{path}: not a trace archive: {exc}") from None
+    if not isinstance(archive, np.lib.npyio.NpzFile):
+        raise ValueError(f"{path}: not a trace archive: it holds one bare array")
+    with archive:
+
+        def field(name, dtype, ndim, make=np.asarray):
+            """Array `name`, of `dtype` with `ndim` dimensions, through `make`; a fault names the file and field."""
+            if name not in archive.files:
+                raise ValueError(f"{path}: missing field {name!r}")
             try:
-                lines.append((number, json.loads(line)))
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}: line {number} is not JSON: {exc}") from None
-    if not lines or not isinstance(lines[0][1], dict) or lines[0][1].get("record") != "header":
-        raise ValueError(f"{path}: missing trace header line")
-    h = lines[0][1]
-    shape = _field(path, h, "m", _size), _field(path, h, "n_atoms", _size)
-    k = _field(path, h, "k", _INT)
-    algorithm = _field(path, h, "algorithm", Algorithm)
-    dictionary = _field(path, h, "dictionary", lambda value: Dictionary(_array_from_json(value).reshape(shape)))
-    x = _field(path, h, "x_true", _OBJECT)
-    readers = {"values": _array_from_json, "support": _support}
-    parts = {key: _field(path, x, key, read, prefix="x_true.") for key, read in readers.items()}
-    # the signal's own checks (support within values, zero off it) name x_true
-    x = _field(path, h, "x_true", lambda _: SparseSignal(**parts))
-    records = []
-    for number, obj in lines[1:]:
-        if not isinstance(obj, dict) or obj.get("record") != "iteration":
-            raise ValueError(f"{path}: line {number} is not an iteration record")
-        # which solvers' records hold a null delta_support is _check_trace's rule
-        values = {name: _field(path, obj, name, read, optional=name == "delta_support") for name, read in _RECORD_FIELDS.items()}
-        records.append(IterationRecord(**values, estimate_error=None))
-    noise = _field(path, h, "noise", _array_from_json)
-    sigma = _field(path, h, "sigma", lambda value: float(_NUMBER(value)), optional=True)
-    _check_trace(path, algorithm, dictionary, k, x, noise, sigma, records)
+                a = archive[name]
+                if not (isinstance(a, np.ndarray) and np.issubdtype(a.dtype, dtype) and a.ndim == ndim):
+                    got = f"a {a.ndim}-d {a.dtype} array" if isinstance(a, np.ndarray) else type(a).__name__
+                    raise ValueError(f"expected a {ndim}-d {np.dtype(dtype).name} array, got {got}")
+                return make(a)
+            except (ValueError, NonFinite, zipfile.BadZipFile) as exc:
+                raise ValueError(f"{path}: field {name!r}: {exc}") from None
+
+        algorithm = field("algorithm", np.str_, 0, lambda a: Algorithm(a.item()))
+        dictionary = field("dictionary", np.float64, 2, Dictionary)
+        support = field("x_true.support", np.int64, 1, SupportSet)
+        x = field("x_true.values", np.float64, 1, lambda values: SparseSignal(values, support))
+        noise = field("noise", np.float64, 1)
+        sigma = field("sigma", np.float64, 0, float) if "sigma" in archive.files else None
+        pruned = field("pruned_support", np.int64, 2, lambda rows: list(map(SupportSet, rows)))
+        values = field("estimate_values", np.float64, 2, list)
+        delta = [None] * len(pruned)
+        if "delta_support" in archive.files:
+            delta = field("delta_support", np.int64, 2, lambda rows: list(map(SupportSet, rows)))
+    for name, rows in (("estimate_values", values), ("delta_support", delta)):
+        if len(rows) != len(pruned):
+            raise ValueError(f"{path}: field {name!r}: holds {len(rows)} iterations, pruned_support {len(pruned)}")
+    records = [IterationRecord(d, p, v, None) for d, p, v in zip(delta, pruned, values)]
+    _check_trace(path, algorithm, dictionary, x, noise, sigma, records)
     records = tuple(replace(r, estimate_error=_error_vs(x, r.pruned_support, r.estimate_values)) for r in records)
-    return TraceBundle(algorithm, k, dictionary, records, x, noise, sigma)
+    return TraceBundle(algorithm, len(records[0].pruned_support), dictionary, records, x, noise, sigma)

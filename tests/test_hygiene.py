@@ -2,6 +2,7 @@
 
 import ast
 import pathlib
+import sys
 
 import pytest
 
@@ -82,6 +83,32 @@ def test_no_unused_module_imports(path):
 
 def test_detects_an_unused_import():
     assert unused_imports("import numpy as np\nfrom .linalg import a, b\nprint(b)\n") == ["a", "np"]
+
+
+def foreign_imports(source):
+    """The top-level packages a source imports, anywhere in it, that are neither the standard library nor numpy;
+    a relative import is the package itself."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return sorted(names - sys.stdlib_module_names - {"numpy", "sparselab"})
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_numpy_is_the_only_runtime_dependency(path):
+    assert foreign_imports(path.read_text()) == []
+
+
+def test_detects_a_foreign_import():
+    source = (
+        "import os.path, zipfile\nimport numpy as np\nimport scipy.linalg\nfrom . import linalg\n"
+        "from .errors import NonFinite\nfrom sparselab.pursuit import iht\n"
+        "def f():\n    from yaml import safe_load\n"
+    )
+    assert foreign_imports(source) == ["scipy", "yaml"]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

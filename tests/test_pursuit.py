@@ -403,30 +403,28 @@ class TestSharedCorrelation:
 
 
 class TestTraceRoundTrip:
-    @pytest.mark.parametrize("name", ["sp", "cosamp", "iht"])
-    def test_all_fields_survive(self, tmp_path, name):
-        # iht records no delta_support, so a None field round-trips too
-        D = generate_dictionary(12, 20, 39)
-        x = generate_signal(20, 2, 40)
-        e = 0.3 * np.random.default_rng(41).standard_normal(12)
-        y = D.entries @ x.values + e
-        cfg = PursuitConfig(k=2, halting=FixedIterations(3))
-        res = SOLVERS[name](D, y, cfg, x_true=x)
+    @pytest.mark.parametrize("gram", [False, True], ids=["plain", "gram"])
+    @pytest.mark.parametrize("name, m", [(name, m) for m in (12, 64) for name in SOLVERS] + [("sp", 512)])
+    def test_all_fields_survive(self, tmp_path, name, m, gram):
+        # bit for bit; iht records no delta_support, so a None field round-trips too
+        k = 2 if m < 64 else 10
+        D = generate_dictionary(m, 2 * m, 39)
+        x = generate_signal(2 * m, k, 40)
+        e = 0.3 * np.random.default_rng(41).standard_normal(m)
+        cfg = PursuitConfig(k=k, halting=FixedIterations(5))
+        res = SOLVERS[name](D.with_gram() if gram else D, D.entries @ x.values + e, cfg, x_true=x)
+        # written at the path as given: np.savez alone would add .npz to it
         path = tmp_path / "trace.jsonl"
         write_trace(path, res, D, x_true=x, noise=e, sigma=0.3)
+        assert [p.name for p in tmp_path.iterdir()] == ["trace.jsonl"]
         bundle = read_trace(path)
-        assert bundle.algorithm is Algorithm(name)
-        assert bundle.k == 2
-        assert bundle.iterations_run == res.iterations_run
-        assert np.array_equal(bundle.dictionary.entries, D.entries)
-        assert np.array_equal(bundle.x_true.values, x.values)
-        assert np.array_equal(bundle.noise, e)
-        assert bundle.sigma == 0.3
-        assert len(bundle.records) == len(res.trace)
-        for got, want in zip(bundle.records, res.trace):
-            assert got.delta_support == want.delta_support
-            assert got.pruned_support == want.pruned_support
-            assert np.array_equal(got.estimate_values, want.estimate_values)
+        assert (bundle.algorithm, bundle.k, bundle.iterations_run, bundle.sigma) == (Algorithm(name), k, 5, 0.3)
+        assert bundle.x_true.support == x.support
+        for got, want in ((bundle.dictionary.entries, D.entries), (bundle.x_true.values, x.values), (bundle.noise, e)):
+            assert got.tobytes(order="A") == want.tobytes(order="A")
+        for got, want in zip(bundle.records, res.trace, strict=True):
+            assert (got.delta_support, got.pruned_support) == (want.delta_support, want.pruned_support)
+            assert got.estimate_values.tobytes() == want.estimate_values.tobytes()
             assert got.estimate_error == want.estimate_error
 
     def test_header_without_truth_or_noise(self, tmp_path):
@@ -434,7 +432,7 @@ class TestTraceRoundTrip:
         D = generate_dictionary(12, 20, 39)
         x = generate_signal(20, 2, 40)
         res = cosamp(D, D.entries @ x.values, PursuitConfig(k=2, halting=FixedIterations(2)))
-        path = tmp_path / "trace.jsonl"
+        path = tmp_path / "trace.npz"
         for kwargs in ({}, {"x_true": x}, {"noise": np.zeros(12)}):
             with pytest.raises(TypeError):
                 write_trace(path, res, D, **kwargs)
@@ -449,32 +447,16 @@ class TestTraceRoundTrip:
         a, b = generate_signal(40, 3, 62), generate_signal(40, 3, 63)
         e = 0.1 * np.random.default_rng(64).standard_normal(24)
         res = SOLVERS[name](D, D.entries @ a.values + e, PursuitConfig(k=3, halting=FixedIterations(4)), x_true=a)
-        path = tmp_path / "trace.jsonl"
+        path = tmp_path / "trace.npz"
         write_trace(path, res, D, x_true=b, noise=e)
         records = read_trace(path).records
         want = [_error_vs(b, r.pruned_support, r.estimate_values) for r in res.trace]
         assert [r.estimate_error for r in records] == want
         assert want != [r.estimate_error for r in res.trace]
 
-    def test_stored_estimate_error_is_ignored(self, tmp_path):
-        # traces used to store each record's error unchecked, so a forged -5.0 read back as a norm
-        D = generate_dictionary(12, 20, 39)
-        x = generate_signal(20, 2, 40)
-        e = 0.3 * np.random.default_rng(41).standard_normal(12)
-        res = subspace_pursuit(D, D.entries @ x.values + e, PursuitConfig(k=2, halting=FixedIterations(3)), x_true=x)
-        path = tmp_path / "trace.jsonl"
-        write_trace(path, res, D, x_true=x, noise=e)
-        header, *records = (json.loads(line) for line in path.read_text().splitlines())
-        assert not any("estimate_error" in record for record in records)
-        for record in records:
-            record["estimate_error"] = -5.0
-        path.write_text("".join(json.dumps(obj) + "\n" for obj in (header, *records)))
-        got = [r.estimate_error for r in read_trace(path).records]
-        assert got == [r.estimate_error for r in res.trace] and min(got) >= 0
-
     @pytest.fixture(scope="class")
     def trace_path(self, tmp_path_factory):
-        return tmp_path_factory.mktemp("trace") / "trace.jsonl"
+        return tmp_path_factory.mktemp("trace") / "trace.npz"
 
     @given(
         st.sampled_from(["sp", "cosamp", "iht"]),
@@ -530,7 +512,7 @@ class TestTraceRoundTrip:
         )
         estimate = SparseSignal(np.array([0.0, -0.0, 0.0, tiny]), SupportSet((1, 3)))
         res = PursuitResult(estimate=estimate, trace=(record,), algorithm=Algorithm.SP)
-        path = tmp_path / "exact.jsonl"
+        path = tmp_path / "exact.npz"
         write_trace(path, res, D, x_true=x, noise=noise, sigma=third)
         bundle = read_trace(path)
         assert bundle.dictionary.entries.tobytes() == D.entries.tobytes()
@@ -541,79 +523,61 @@ class TestTraceRoundTrip:
         assert (got.estimate_error, bundle.sigma) == (third, third)
 
     def test_file_size_is_the_binary_arrays_plus_a_small_rest(self, tmp_path):
-        # base64 of the m*N float64 dictionary bytes, plus a fixed allowance
-        # for truth, noise and the iteration lines; floats written as text
-        # take about twice the bound
+        # the m*N float64 dictionary bytes, plus a fixed allowance for truth,
+        # noise, the iteration arrays and each array's header
         m, n = 64, 128
         D = generate_dictionary(m, n, 52)
         x = generate_signal(n, 4, 53)
         e = 0.3 * np.random.default_rng(54).standard_normal(m)
         res = subspace_pursuit(D, D.entries @ x.values + e, PursuitConfig(k=4, halting=FixedIterations(3)), x_true=x)
-        path = tmp_path / "trace.jsonl"
+        path = tmp_path / "trace.npz"
         write_trace(path, res, D, x_true=x, noise=e, sigma=0.3)
-        assert path.stat().st_size <= 4 * math.ceil(8 * m * n / 3) + 8192
-
-    @pytest.mark.parametrize("tampered", [False, True])
-    @pytest.mark.parametrize("name", ["sp", "cosamp", "iht"])
-    def test_stored_iteration_fields_are_ignored(self, tmp_path, name, tampered):
-        # older traces store each record's iteration and prior support and the
-        # header's iterations_run; the line order alone must decide all three
-        D = generate_dictionary(12, 20, 55)
-        x = generate_signal(20, 2, 56)
-        e = 0.3 * np.random.default_rng(57).standard_normal(12)
-        res = SOLVERS[name](D, D.entries @ x.values + e, PursuitConfig(k=2, halting=FixedIterations(3)), x_true=x)
-        path = tmp_path / "trace.jsonl"
-        write_trace(path, res, D, x_true=x, noise=e, sigma=0.3)
-        header, *records = (json.loads(line) for line in path.read_text().splitlines())
-        if tampered:
-            header["iterations_run"], numbers, supports = 99, (1, 7, 3), ([], [0, 1], [5])
-        else:
-            header["iterations_run"], numbers = 3, (1, 2, 3)
-            supports = [[], *(r["pruned_support"] for r in records[:-1])]
-        for record, number, support in zip(records, numbers, supports, strict=True):
-            record.update(iteration=number, support_before=support)
-        old = tmp_path / "old.jsonl"
-        old.write_text("".join(json.dumps(obj) + "\n" for obj in (header, *records)))
-        got, want = read_trace(old), read_trace(path)
-        assert got.iterations_run == want.iterations_run == 3
-        checks, clean = (recurrence_diagnostics(b.records, x, e, D, name, delta=0.1).checks for b in (got, want))
-        assert checks == clean
-        per_iteration = len(checks) // 3
-        assert [c.iteration for c in checks] == [i for i in (1, 2, 3) for _ in range(per_iteration)]
+        assert path.stat().st_size <= 8 * m * n + 8192
 
     def test_iht_records_hold_no_merge_fields(self, tmp_path):
-        # IHT merges nothing: its records hold None, written as null, for delta_support
+        # IHT merges nothing: its records hold None for delta_support, and its archive no such array
         D = generate_dictionary(12, 20, 39)
         x = generate_signal(20, 2, 40)
         res = iht(D, D.entries @ x.values, PursuitConfig(k=2, halting=FixedIterations(3)), x_true=x)
-        path = tmp_path / "trace.jsonl"
+        path = tmp_path / "trace.npz"
         write_trace(path, res, D, x_true=x, noise=np.zeros(12))
-        _, *lines = (json.loads(line) for line in path.read_text().splitlines())
-        assert [line["delta_support"] for line in lines] == [None] * 3
+        with np.load(path) as archive:
+            assert "delta_support" not in archive.files
         for records in (res.trace, read_trace(path).records):
             assert [r.delta_support for r in records] == [None] * 3
 
     @pytest.mark.parametrize("name", ["sp", "cosamp", "iht"])
     def test_records_store_what_the_solver_chose(self, tmp_path, name):
-        # the merged least-squares solve is only pruned on, so neither IterationRecord nor a trace line keeps it
+        # the merged least-squares solve is only pruned on, so neither IterationRecord nor the archive keeps it;
+        # each stored record field is one array with a row per iteration
         D = generate_dictionary(12, 20, 39)
         x = generate_signal(20, 2, 40)
         res = SOLVERS[name](D, D.entries @ x.values, PursuitConfig(k=2, halting=FixedIterations(3)), x_true=x)
-        path = tmp_path / "trace.jsonl"
+        path = tmp_path / "trace.npz"
         write_trace(path, res, D, x_true=x, noise=np.zeros(12))
-        _, *lines = (json.loads(line) for line in path.read_text().splitlines())
         stored = ["delta_support", "pruned_support", "estimate_values"]
         assert [f.name for f in fields(IterationRecord)] == [*stored, "estimate_error"]
-        assert [list(line) for line in lines] == [["record", *stored]] * 3
+        per_iteration = stored if name != "iht" else stored[1:]
+        problem = ["algorithm", "dictionary", "x_true.values", "x_true.support", "noise"]
+        with np.load(path) as archive:
+            assert sorted(archive.files) == sorted(problem + per_iteration)
+            arrays = {f: archive[f] for f in archive.files}
+        width = {"delta_support": 4 if name == "cosamp" else 2}
+        assert {f: arrays[f].shape for f in per_iteration} == {f: (3, width.get(f, 2)) for f in per_iteration}
+        for f in problem[1:] + per_iteration:
+            assert arrays[f].dtype == (np.int64 if "support" in f else np.float64), f
 
-    def test_k_is_stored_only_in_the_header(self, tmp_path):
+    def test_k_is_stored_only_as_a_shape(self, tmp_path):
+        # k is the width of pruned_support; no array holds it, and the truth is only its values and support
         D = generate_dictionary(12, 20, 39)
         x = generate_signal(20, 2, 40)
         res = subspace_pursuit(D, D.entries @ x.values, PursuitConfig(k=2, halting=FixedIterations(2)), x_true=x)
-        path = tmp_path / "trace.jsonl"
+        path = tmp_path / "trace.npz"
         write_trace(path, res, D, x_true=x, noise=np.zeros(12))
-        header = json.loads(path.read_text().splitlines()[0])
-        assert header["k"] == 2 and set(header["x_true"]) == {"values", "support"}
+        with np.load(path) as archive:
+            assert archive["pruned_support"].shape == (2, 2)
+            assert {f for f in archive.files if "k" in f.split(".")} == set()
+            assert {f for f in archive.files if f.startswith("x_true")} == {"x_true.values", "x_true.support"}
         bundle = read_trace(path)
         assert bundle.k == 2 and not hasattr(bundle.x_true, "k")
 
@@ -623,14 +587,14 @@ class TestTraceRoundTrip:
         res = oracle_estimator(D, D.entries @ x.values, x.support)
         assert res.trace == ()
         with pytest.raises(ValueError, match="no iterations"):
-            write_trace(tmp_path / "oracle.jsonl", res, D, x_true=x, noise=np.zeros(10))
+            write_trace(tmp_path / "oracle.npz", res, D, x_true=x, noise=np.zeros(10))
 
     def test_truth_of_at_most_k_atoms_is_written(self, tmp_path):
         # a 2-sparse truth is 3-sparse, so a k = 3 run writes and reads it; a 4-sparse one is not
         D = generate_dictionary(10, 18, 44)
         x = generate_signal(18, 2, 45)
         res = subspace_pursuit(D, D.entries @ x.values, PursuitConfig(k=3, halting=FixedIterations(2)), x_true=x)
-        path = tmp_path / "t.jsonl"
+        path = tmp_path / "t.npz"
         write_trace(path, res, D, x_true=x, noise=np.zeros(10))
         bundle = read_trace(path)
         assert (bundle.k, bundle.x_true.support) == (3, x.support)
@@ -763,7 +727,7 @@ class TestRecurrenceDiagnostics:
         assert rep.k == 3
         assert rep.delta == rip_exact(D, rip_order(name, 3)).delta
         assert rep.noise_correlation == worst_case_noise_correlation(D, e, 3).value
-        path = tmp_path / "trace.jsonl"
+        path = tmp_path / "trace.npz"
         write_trace(path, res, D, x_true=x, noise=e)
         capsys.readouterr()
         assert cli.main(["diagnose", "--in", str(path)]) == 0
@@ -788,6 +752,87 @@ class TestRecurrenceDiagnostics:
         res = SOLVERS[run](D, D.entries @ x.values, PursuitConfig(k=2, halting=FixedIterations(2)), x_true=x)
         with pytest.raises(ValueError, match=f"delta_support: {checked} iteration 1 must hold"):
             recurrence_diagnostics(res.trace, x, np.zeros(12), D, checked, delta=0.1, noise_correlation=0.0)
+
+
+    @pytest.mark.parametrize("nc", [math.inf, -1.0, math.nan])
+    def test_noise_correlation_outside_its_range_rejected(self, nc):
+        # an infinite one made every rhs inf, so the checks held vacuously under a met condition;
+        # a negative one gave false FAILs, and nan gave nan rhs values
+        D = generate_dictionary(8, 16, 3)
+        x = generate_signal(16, 2, 4)
+        e = 0.1 * np.random.default_rng(5).standard_normal(8)
+        res = subspace_pursuit(D, D.entries @ x.values + e, PursuitConfig(k=2, halting=FixedIterations(3)), x_true=x)
+        assert recurrence_diagnostics(res.trace, x, e, D, "sp", delta=0.1, noise_correlation=1.0).condition_met
+        with pytest.raises(ValueError, match="noise correlation must be finite and nonnegative"):
+            recurrence_diagnostics(res.trace, x, e, D, "sp", delta=0.1, noise_correlation=nc)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda x, e: (SparseSignal(np.r_[x.values, np.zeros(4)], x.support), e), "x_true.values: holds 20 values, expected 16"),
+            (lambda x, e: (x, e[:5]), "noise: holds 5 values, expected 8"),
+        ],
+        ids=["truth_length", "noise_length"],
+    )
+    def test_inputs_that_do_not_fit_the_dictionary_rejected(self, edit, message):
+        # a 20-entry truth against 16 atoms used to report a false FAIL, and a short e died in numpy's matmul
+        D = generate_dictionary(8, 16, 3)
+        x = generate_signal(16, 2, 4)
+        e = 0.1 * np.random.default_rng(5).standard_normal(8)
+        res = subspace_pursuit(D, D.entries @ x.values + e, PursuitConfig(k=2, halting=FixedIterations(3)), x_true=x)
+        with pytest.raises(ValueError, match=message):
+            recurrence_diagnostics(res.trace, *edit(x, e), D, "sp", delta=0.1)
+
+
+def _top(v, k):
+    return np.sort(np.argsort(-np.abs(v), kind="stable")[:k])
+
+
+def textbook(name, A, y, k, iterations):
+    """(delta_support, pruned_support, values) per iteration of SP (Dai & Milenkovic 2009), CoSaMP (Needell &
+    Tropp 2009) or IHT (Blumensath & Davies 2009), from the published pseudocode on the dense matrix A:
+    lstsq solves, a stable-argsort top-k and an explicit residual, with no Gram and no SupportSet."""
+    T, x, out = np.zeros(0, dtype=np.int64), np.zeros(A.shape[1]), []
+    for _ in range(iterations):
+        residual = y - A[:, T] @ x[T]
+        if name == "iht":
+            proxy = x + A.T @ residual
+            added, T = None, _top(proxy, k)
+            values = proxy[T]
+        else:
+            added = _top(A.T @ residual, (2 if name == "cosamp" else 1) * k)
+            merged = np.union1d(T, added)
+            b = np.linalg.lstsq(A[:, merged], y, rcond=None)[0]
+            keep = _top(b, k)
+            T = merged[keep]
+            values = np.linalg.lstsq(A[:, T], y, rcond=None)[0] if name == "sp" else b[keep]
+            added = tuple(added.tolist())
+        x = np.zeros(A.shape[1])
+        x[T] = values
+        out.append((added, tuple(T.tolist()), values))
+    return out
+
+
+class TestTextbookTwin:
+    """Every iteration of each solver against its textbook twin, on plain and Gram dictionaries."""
+
+    @pytest.mark.parametrize("name", list(SOLVERS))
+    @given(st.integers(min_value=24, max_value=79), st.data(), st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(deadline=None, max_examples=60)
+    def test_every_iteration_matches(self, name, m, data, seed):
+        k = data.draw(st.integers(min_value=1, max_value=m // 8), label="k")
+        # noiseless, an exact recovery leaves a residual of rounding error, whose top atoms are arbitrary
+        sigma = data.draw(st.floats(min_value=0.01, max_value=8.0), label="sigma")
+        D = generate_dictionary(m, 2 * m, seed)
+        x = generate_signal(2 * m, k, seed)
+        y = D.entries @ x.values + sigma * np.random.default_rng(seed).standard_normal(m)
+        cfg = PursuitConfig(k=k, halting=FixedIterations(6))
+        want = textbook(name, np.array(D.entries), y, k, 6)
+        for dictionary, rtol in ((D, 1e-12), (D.with_gram(), 1e-10)):
+            for r, (added, pruned, values) in zip(SOLVERS[name](dictionary, y, cfg).trace, want, strict=True):
+                assert getattr(r.delta_support, "indices", None) == added
+                assert r.pruned_support.indices == pruned
+                assert np.max(np.abs(r.estimate_values - values)) <= rtol * np.max(np.abs(values))
 
 
 class TestProperties:
@@ -865,8 +910,8 @@ class TestInputChecks:
         "call, message",
         [
             (lambda tmp: PursuitConfig(k=0, halting=FixedIterations(1)), "k must be >= 1"),
-            (lambda tmp: read_trace(write_text(tmp, "")), "missing trace header line"),
-            (lambda tmp: read_trace(write_text(tmp, '{"record": "iteration"}\n')), "missing trace header line"),
+            (lambda tmp: read_trace(write_text(tmp, "")), "not a trace archive"),
+            (lambda tmp: read_trace(write_text(tmp, '{"record": "iteration"}\n')), "not a trace archive"),
         ],
         ids=["config_k_zero", "trace_empty", "trace_without_header"],
     )
@@ -876,7 +921,7 @@ class TestInputChecks:
 
 
 def write_text(tmp_path, text):
-    path = tmp_path / "trace.jsonl"
+    path = tmp_path / "trace.npz"
     path.write_text(text)
     return path
 
@@ -895,8 +940,8 @@ def equal_content_pair(cls, tmp_path):
         return a, b
     if cls is IterationRecord:
         return a.trace[0], b.trace[0]
-    write_trace(tmp_path / "t.jsonl", a, D, x_true=x, noise=np.zeros(4))
-    return read_trace(tmp_path / "t.jsonl"), read_trace(tmp_path / "t.jsonl")
+    write_trace(tmp_path / "t.npz", a, D, x_true=x, noise=np.zeros(4))
+    return read_trace(tmp_path / "t.npz"), read_trace(tmp_path / "t.npz")
 
 
 class TestIdentityEquality:
