@@ -8,8 +8,8 @@ parallel workers.
 A dictionary stores its entries column-major (Fortran order), so each atom
 is one contiguous run of m floats and gathering the atoms of a support
 copies |T| contiguous blocks instead of striding across every row. A
-support holds its indices both as a tuple, the type compared, hashed and
-written to traces, and as a read-only int64 array, the form that indexes.
+support holds its indices both as a tuple, the type compared and hashed,
+and as a read-only int64 array, the form that indexes and traces store.
 
 A dictionary can also carry its Gram matrix G = D^T D (with_gram). Solvers
 then correlate a residual y - D_T c with every atom as z - c G_T, z = D^T y,
@@ -354,14 +354,17 @@ def export_dictionary_csv(D, path):
 
 
 def import_dictionary_csv(path):
-    """Read a dictionary written by export_dictionary_csv."""
-    with open(path) as fh:
-        header = fh.readline().strip()
-        try:
-            m, n = (int(tok) for tok in header.split(","))
-        except ValueError:
-            raise ValueError(f"{path}: malformed header {header!r}, expected 'm,N'") from None
-        entries = np.loadtxt(fh, delimiter=",", ndmin=2)
-    if entries.shape != (m, n):
-        raise ValueError(f"{path}: header says {m}x{n} but body is {entries.shape}")
-    return Dictionary(entries)
+    """Read a dictionary written by export_dictionary_csv; a file that holds no such dictionary raises ValueError naming it."""
+    try:
+        with open(path) as fh:
+            header = fh.readline().strip()
+            try:
+                m, n = (int(tok) for tok in header.split(","))
+            except ValueError:
+                raise ValueError(f"malformed header {header!r}, expected 'm,N'") from None
+            entries = np.loadtxt(fh, delimiter=",", ndmin=2)
+        if entries.shape != (m, n):
+            raise ValueError(f"header says {m}x{n} but body is {entries.shape}")
+        return Dictionary(entries)
+    except ValueError as exc:  # a UnicodeDecodeError among them
+        raise ValueError(f"{path}: {exc}") from None

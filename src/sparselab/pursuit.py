@@ -156,8 +156,12 @@ def _pursue(algorithm, D, y, cfg, x_true, z):
     grow, resolve = _RULES[algorithm]
     _check_dims(D, cfg.k, algorithm)
     y = np.asarray(y, dtype=np.float64)
-    if not np.all(np.isfinite(y)):
-        raise NonFinite("measurements y must be finite")
+    z = None if z is None else np.asarray(z, dtype=np.float64)
+    for name, v, n in (("measurements y", y, D.m), ("z = D^T y", z, D.n_atoms)):
+        if v is not None and v.shape != (n,):
+            raise ValueError(f"{name} must be of shape ({n},), got {v.shape}")
+        if v is not None and not np.all(np.isfinite(v)):
+            raise NonFinite(f"{name} must be finite")
     with np.errstate(over="ignore"):
         y_norm = float(np.linalg.norm(y))
     if math.isinf(y_norm):  # the plain norm squares each entry, so past about 1e154 scale y first
@@ -305,18 +309,16 @@ def recurrence_diagnostics(
 ):
     """Check the per-iteration error inequalities against a recorded trace.
 
-    For SP verifies, at every iteration, the merged-support miss bound, the pruned-support
-    miss bound, and their composition; for CoSaMP and IHT the estimate-error recurrence.
-    k is the run's: the number of atoms the records prune to. An x_true or e that does not fit D, an x_true
-    of more than k atoms, a record `algorithm` never makes, or a noise correlation that is negative or not
-    finite raises ValueError. `delta` is the constant of order
-    guarantees.rip_order(algorithm, k); when omitted it is computed exactly by enumeration
-    (subject to `budget`), and an omitted noise correlation is the exact worst case, max over
-    |T| = k of ||D_T* e||_2. The inequalities are only guarantees when the family's condition
-    holds (see condition_met); checks are evaluated and reported regardless. Past the
-    SP/CoSaMP pole (delta >= 1) every rhs is +inf, so those checks hold vacuously. Iteration
-    i is the trace's i-th record, the iterate before the first is the empty support with
-    value 0, and each merged support is derived from delta_support, so a slice such as
+    For SP verifies, at every iteration, the merged-support miss bound, the pruned-support miss bound, and
+    their composition; for CoSaMP and IHT the estimate-error recurrence. k is the run's: the number of atoms
+    the records prune to. A run that breaks a rule write_trace and read_trace hold a trace to, or a negative or
+    non-finite noise correlation, raises ValueError naming the field. `delta` is the constant of order
+    guarantees.rip_order(algorithm, k); when omitted it is computed exactly by enumeration (subject to
+    `budget`), and an omitted noise correlation is the exact worst case, max over |T| = k of ||D_T* e||_2.
+    The inequalities are only guarantees when the family's condition holds (see condition_met); checks are
+    evaluated and reported regardless. Past the SP/CoSaMP pole (delta >= 1) every rhs is +inf, so those
+    checks hold vacuously. Iteration i is the trace's i-th record, the iterate before the first is the empty
+    support with value 0, and each merged support is derived from delta_support, so a slice such as
     res.trace[2:] reads exactly as a trace that started from zero.
 
     Returns
@@ -324,12 +326,7 @@ def recurrence_diagnostics(
     DiagnosticsReport
     """
     algorithm = Algorithm(algorithm)
-    if algorithm is Algorithm.ORACLE:
-        raise ValueError("the oracle estimator has no iteration recurrence")
-    if not trace:
-        raise ValueError("empty trace")
-    k = len(trace[0].pruned_support)
-    _check_run(algorithm, k, D, x_true, e, trace, lambda name, message: ValueError(f"{name}: {message}"))
+    k = _check_run(algorithm, D, x_true, e, None, trace, lambda name, message: ValueError(message if name is None else f"{name}: {message}"))
     if noise_correlation is None:
         noise_correlation = metrics.worst_case_noise_correlation(D, e, k).value
     nc = float(noise_correlation)
@@ -371,48 +368,42 @@ def recurrence_diagnostics(
     )
 
 
-def _check_run(algorithm, k, D, x_true, noise, records, fault):
-    """Raise fault(field, message) if x_true or noise does not fit D, x_true holds over k atoms, or a record's
-    delta_support is not what `algorithm` records."""
+def _check_run(algorithm, D, x_true, noise, sigma, records, fault):
+    """The run's k, the atom count of record 1 (iteration 1), or fault(field or None, message) raised at the first
+    rule the run breaks: write_trace, read_trace and recurrence_diagnostics hold a run to these rules alone."""
+    if algorithm not in _RULES:
+        raise fault("algorithm", f"{algorithm.value} runs no iterations")
+    if not records:
+        raise fault(None, "the trace has no iterations")
+    k = len(records[0].pruned_support)
     for name, values, size in (("x_true.values", x_true.values, D.n_atoms), ("noise", noise, D.m)):
         if len(values) != size:
             raise fault(name, f"holds {len(values)} values, expected {size}")
+    if not np.isfinite(noise).all():
+        raise fault("noise", "holds a value that is not finite")
     if len(x_true.support) > k:
         raise fault("x_true.support", f"holds {len(x_true.support)} atoms, more than k = {k}")
-    adds = _RULES[algorithm][0] is not None
+    grow = _RULES[algorithm][0]
+    widths = {"delta_support": (grow or 0) * k, "pruned_support": k, "estimate_values": k}
     for i, r in enumerate(records, start=1):
-        if (r.delta_support is None) == adds:
-            raise fault("delta_support", f"{algorithm.value} iteration {i} must hold {'its added atoms' if adds else 'None'}")
-
-
-def _check_trace(path, algorithm, D, x_true, noise, sigma, records):
-    """Raise the first fault of a trace's parts as a ValueError naming the file and field: write_trace calls it
-    before it opens the file, read_trace after loading. Record i is iteration i, and k is record 1's atom count."""
-
-    def fault(name, message):
-        return ValueError(f"{path}: field {name!r}: {message}")
-
-    if not np.all(np.isfinite(noise)):
-        raise fault("noise", "holds a value that is not finite")
-    if sigma is not None and not 0 <= sigma < math.inf:
-        raise fault("sigma", f"must be finite and nonnegative, got {sigma!r}")
-    if not records:
-        raise ValueError(f"{path}: the trace has no iterations")
-    if algorithm not in _RULES:
-        raise fault("algorithm", f"{algorithm.value} runs no iterations")
-    k = len(records[0].pruned_support)
-    _check_run(algorithm, k, D, x_true, noise, records, fault)
-    widths = {"pruned_support": k, "estimate_values": k, "delta_support": (_RULES[algorithm][0] or 0) * k}
-    for i, r in enumerate(records, start=1):
+        if (r.delta_support is None) != (grow is None):
+            raise fault("delta_support", f"{algorithm.value} iteration {i} must hold {'None' if grow is None else 'its added atoms'}")
         for name, size in widths.items():
             held = getattr(r, name)
             if held is not None and len(held) != size:
                 raise fault(name, f"iteration {i} holds {len(held)} entries, expected {size}")
-        if not np.all(np.isfinite(r.estimate_values)):
-            raise fault("estimate_values", f"iteration {i} holds a value that is not finite")
-        for name, support in (("delta_support", r.delta_support), ("pruned_support", r.pruned_support)):
-            if support and support.indices[-1] >= D.n_atoms:
-                raise fault(name, f"index {support.indices[-1]} is not below n_atoms = {D.n_atoms}")
+            if isinstance(held, SupportSet) and held and held.indices[-1] >= D.n_atoms:
+                raise fault(name, f"index {held.indices[-1]} is not below n_atoms = {D.n_atoms}")
+    finite = np.isfinite(np.array([r.estimate_values for r in records], dtype=np.float64)).all(axis=1)
+    if not finite.all():
+        raise fault("estimate_values", f"iteration {np.argmin(finite) + 1} holds a value that is not finite")
+    if sigma is not None and not 0 <= sigma < math.inf:
+        raise fault("sigma", f"must be finite and nonnegative, got {sigma!r}")
+    return k
+
+
+def _file_fault(path):
+    return lambda name, message: ValueError(f"{path}: {message}" if name is None else f"{path}: field {name!r}: {message}")
 
 
 def write_trace(path, result, D, x_true, noise, sigma=None):
@@ -424,7 +415,7 @@ def write_trace(path, result, D, x_true, noise, sigma=None):
     """
     sigma = None if sigma is None else float(sigma)
     noise = np.asarray(noise, dtype=np.float64)
-    _check_trace(path, result.algorithm, D, x_true, noise, sigma, result.trace)
+    _check_run(result.algorithm, D, x_true, noise, sigma, result.trace, _file_fault(path))
     trace = result.trace
     arrays = {
         "algorithm": result.algorithm.value,
@@ -462,15 +453,17 @@ def read_trace(path):
 
     k is the number of atoms each record prunes to (x_true may hold fewer), and each estimate_error is computed
     from x_true as the solver does. A file that is no such archive (an older JSON-lines trace, a bare .npy, a
-    truncated file), a missing array, one of the wrong dtype or ndim, and any fault write_trace refuses raise
-    ValueError naming the file and the field.
+    truncated file), a missing or unreadable array (say, of an unknown compression method, or a declared shape too
+    large to allocate), one of the wrong dtype or ndim, and any fault write_trace refuses raise ValueError naming
+    the file and the field.
     """
+    fault = _file_fault(path)
     try:
         archive = np.load(path)
-    except (ValueError, EOFError, zipfile.BadZipFile) as exc:
-        raise ValueError(f"{path}: not a trace archive: {exc}") from None
+    except (ValueError, EOFError, zipfile.BadZipFile):
+        raise fault(None, "not a trace archive") from None
     if not isinstance(archive, np.lib.npyio.NpzFile):
-        raise ValueError(f"{path}: not a trace archive: it holds one bare array")
+        raise fault(None, "not a trace archive: it holds one bare array")
     with archive:
 
         def field(name, dtype, ndim, make=np.asarray):
@@ -483,8 +476,8 @@ def read_trace(path):
                     got = f"a {a.ndim}-d {a.dtype} array" if isinstance(a, np.ndarray) else type(a).__name__
                     raise ValueError(f"expected a {ndim}-d {np.dtype(dtype).name} array, got {got}")
                 return make(a)
-            except (ValueError, NonFinite, zipfile.BadZipFile) as exc:
-                raise ValueError(f"{path}: field {name!r}: {exc}") from None
+            except (ValueError, NonFinite, zipfile.BadZipFile, NotImplementedError, OSError, MemoryError) as exc:
+                raise fault(name, exc) from None
 
         algorithm = field("algorithm", np.str_, 0, lambda a: Algorithm(a.item()))
         dictionary = field("dictionary", np.float64, 2, Dictionary)
@@ -499,8 +492,8 @@ def read_trace(path):
             delta = field("delta_support", np.int64, 2, lambda rows: list(map(SupportSet, rows)))
     for name, rows in (("estimate_values", values), ("delta_support", delta)):
         if len(rows) != len(pruned):
-            raise ValueError(f"{path}: field {name!r}: holds {len(rows)} iterations, pruned_support {len(pruned)}")
+            raise fault(name, f"holds {len(rows)} iterations, pruned_support {len(pruned)}")
     records = [IterationRecord(d, p, v, None) for d, p, v in zip(delta, pruned, values)]
-    _check_trace(path, algorithm, dictionary, x, noise, sigma, records)
+    k = _check_run(algorithm, dictionary, x, noise, sigma, records, fault)
     records = tuple(replace(r, estimate_error=_error_vs(x, r.pruned_support, r.estimate_values)) for r in records)
-    return TraceBundle(algorithm, len(records[0].pruned_support), dictionary, records, x, noise, sigma)
+    return TraceBundle(algorithm, k, dictionary, records, x, noise, sigma)

@@ -1,5 +1,7 @@
 import argparse
+import contextlib
 import dataclasses
+import io
 import json
 import math
 import os
@@ -11,19 +13,54 @@ import zipfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sparselab import guarantees
 from sparselab.cli import build_parser, main
 from sparselab.experiment import generate_dictionary, generate_signal
 from sparselab.linalg import Dictionary, SupportSet, import_dictionary_csv
 from sparselab.metrics import rip_exact, rip_monte_carlo
-from sparselab.pursuit import Algorithm, FixedIterations, PursuitConfig, cosamp, iht, subspace_pursuit, write_trace
+from sparselab.pursuit import (
+    Algorithm,
+    FixedIterations,
+    PursuitConfig,
+    cosamp,
+    iht,
+    recurrence_diagnostics,
+    subspace_pursuit,
+    write_trace,
+)
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def diagnose(path):
+    """diagnose's exit code, stdout and stderr on the trace at `path` with --delta 0.9, captured without a fixture."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["diagnose", "--in", str(path), "--delta", "0.9"])
+    return code, out.getvalue(), err.getvalue()
+
+
+def run_12x20(solver):
+    """write_trace's arguments for a 3-iteration, k = 2 run of `solver` on a 12 x 20 dictionary."""
+    D = generate_dictionary(12, 20, 44)
+    x = generate_signal(20, 2, 45)
+    e = 0.1 * np.random.default_rng(46).standard_normal(12)
+    res = solver(D, D.entries @ x.values + e, PursuitConfig(k=2, halting=FixedIterations(3)), x_true=x)
+    return {"result": res, "D": D, "x_true": x, "noise": e, "sigma": 0.1}
+
+
+@pytest.fixture(scope="module")
+def clean_trace(tmp_path_factory):
+    """A valid 12 x 20 SP trace's bytes, diagnose's output on it, and a path to write damaged copies at."""
+    path = tmp_path_factory.mktemp("corrupt") / "trace.npz"
+    write_trace(path, **run_12x20(subspace_pursuit))
+    return path.read_bytes(), diagnose(path), path
 
 
 def _with_first_record(result, **changes):
@@ -56,9 +93,50 @@ def _raw_noise(path):
         archive.writestr("noise", b"0.1 0.2")
 
 
+SOLVERS = {"sp": subspace_pursuit, "cosamp": cosamp, "iht": iht}
+ALL = tuple(SOLVERS)
+
+
+def _first_fifteen_atoms(args):
+    """A writer edit: the run's dictionary and truth keep only atoms 0 to 14."""
+    args.update(D=Dictionary(args["D"].entries[:, :15]), x_true=generate_signal(15, 2, 45))
+
+
 def _bare_array(path):
     with open(path, "wb") as fh:
         np.save(fh, np.eye(3))
+
+
+def _huge_noise(path):
+    """The archive's noise as an .npy member whose header declares 2**40 values, which numpy allocates before it reads."""
+    rewrite(path, lambda a: a.pop("noise"))
+    header = io.BytesIO()
+    np.lib.format.write_array_header_1_0(header, {"descr": "<f8", "fortran_order": False, "shape": (2**40,)})
+    with zipfile.ZipFile(path, "a") as archive:
+        archive.writestr("noise.npy", header.getvalue() + bytes(96))
+
+
+def _method_fields(data):
+    """Offsets of the compression-method field of every local and central zip header in the archive bytes `data`."""
+    offsets = []
+    for signature, field in ((b"PK\x03\x04", 8), (b"PK\x01\x02", 10)):
+        at = data.find(signature)
+        while at >= 0:
+            offsets.append(at + field)
+            at = data.find(signature, at + 1)
+    return offsets
+
+
+def _every_method(method):
+    """A trace damage: every zip header of the archive declares compression `method`."""
+
+    def damage(path):
+        data = bytearray(path.read_bytes())
+        for at in _method_fields(data):
+            data[at : at + 2] = method.to_bytes(2, "little")
+        path.write_bytes(data)
+
+    return damage
 
 
 class TestGenDict:
@@ -412,6 +490,12 @@ class TestDiagnose:
             ("pruned_support", lambda p: rewrite(p, lambda a: a.update(pruned_support=a["pruned_support"].astype(np.float64)))),
             ("algorithm", lambda p: rewrite(p, lambda a: a.update(algorithm=np.array(["sp"])))),
             ("noise", _raw_noise),
+            # zipfile refused the method with a NotImplementedError traceback and exit 1
+            ("algorithm", _every_method(99)),
+            # bzip2 read stored bytes and stopped with error[OSError]: Invalid data stream, naming no file
+            ("algorithm", _every_method(12)),
+            # numpy allocated the declared shape and stopped with an _ArrayMemoryError traceback and exit 1
+            ("noise", _huge_noise),
         ],
         ids=[
             "json_lines",
@@ -426,6 +510,9 @@ class TestDiagnose:
             "float_support",
             "algorithm_1d",
             "not_an_ndarray",
+            "unknown_compression_method",
+            "bzip2_flag_on_stored_data",
+            "declared_shape_past_memory",
         ],
     )
     def test_malformed_trace_exits_2_naming_the_file_or_field(self, tmp_path, capsys, field, damage):
@@ -433,7 +520,9 @@ class TestDiagnose:
         # TypeError traceback with exit 1, the code for "conditions met and a check fails"
         path = self.make_trace(tmp_path)
         damage(path)
-        self.assert_exits_2_naming(capsys, path, field)
+        stderr = self.assert_exits_2_naming(capsys, path, field)
+        # a file that is no archive says so; numpy's advice to load a JSON-lines trace with allow_pickle used to follow
+        assert field is not None or "not a trace archive" in stderr and "pickle" not in stderr
 
     @pytest.mark.parametrize("solver", [subspace_pursuit, cosamp], ids=["sp", "cosamp"])
     def test_null_merge_field_exits_2_naming_it(self, tmp_path, capsys, solver):
@@ -496,49 +585,65 @@ class TestDiagnose:
         self.assert_rejected_naming(tmp_path, capsys, field, edit, solver)
 
     @pytest.mark.parametrize(
-        "field, edit",
+        "field, edit, solver",
         [
-            ("noise", lambda a: a.update(noise=np.zeros(5))),
-            ("x_true.values", lambda a: a.update(x_true=generate_signal(30, 2, 45))),
-            ("sigma", lambda a: a.update(sigma=-0.1)),
-            ("sigma", lambda a: a.update(sigma=math.nan)),
-            ("noise", lambda a: a.update(noise=np.r_[math.nan, a["noise"][1:]])),
-            # SP's first delta_support on the 20-atom dictionary holds atom 17
-            ("delta_support", lambda a: a.update(D=Dictionary(a["D"].entries[:, :15]), x_true=generate_signal(15, 2, 45))),
-            ("delta_support", lambda a: a.update(result=_with_first_record(a["result"], delta_support=None))),
-            # rows of unequal length, which no 2-d array holds
-            ("delta_support", lambda a: a.update(result=_with_first_record(a["result"], delta_support=SupportSet((0, 1, 2))))),
-            # SP's records, each holding the atoms SP added, as an IHT result
-            ("delta_support", lambda a: a.update(result=dataclasses.replace(a["result"], algorithm=Algorithm.IHT))),
-            ("estimate_values", lambda a: a.update(result=_with_first_record(a["result"], estimate_values=np.r_[math.nan, a["result"].trace[0].estimate_values[1:]]))),
-        ],
-        ids=[
-            "noise_length",
-            "truth_length",
-            "sigma_negative",
-            "sigma_nan",
-            "noise_non_finite",
-            "result_past_n_atoms",
-            "sp_null_delta_support",
-            "delta_support_width",
-            "iht_delta_support",
-            "estimate_values_nan",
+            pytest.param(field, edit, solver, id=name if solver == "sp" else f"{name}-{solver}")
+            for name, field, edit, solvers in [
+                ("noise_length", "noise", lambda a: a.update(noise=np.zeros(5)), ALL),
+                ("truth_length", "x_true.values", lambda a: a.update(x_true=generate_signal(30, 2, 45)), ALL),
+                ("sigma_negative", "sigma", lambda a: a.update(sigma=-0.1), ALL),
+                ("sigma_nan", "sigma", lambda a: a.update(sigma=math.nan), ALL),
+                ("noise_non_finite", "noise", lambda a: a.update(noise=np.r_[math.nan, a["noise"][1:]]), ALL),
+                # the first correlation on the 20-atom dictionary ranks atom 17 in the top 2: SP's and CoSaMP's
+                # first delta_support and IHT's first pruned_support hold it
+                ("result_past_n_atoms", "delta_support", _first_fifteen_atoms, ("sp", "cosamp")),
+                ("result_past_n_atoms", "pruned_support", _first_fifteen_atoms, ("iht",)),
+                ("sp_null_delta_support", "delta_support", lambda a: a.update(result=_with_first_record(a["result"], delta_support=None)), ("sp", "cosamp")),
+                # IHT's records, each holding no added atoms, as an SP result
+                ("sp_null_delta_support", "delta_support", lambda a: a.update(result=dataclasses.replace(a["result"], algorithm=Algorithm.SP)), ("iht",)),
+                # rows of unequal length, which no 2-d array holds
+                ("delta_support_width", "delta_support", lambda a: a.update(result=_with_first_record(a["result"], delta_support=SupportSet((0, 1, 2)))), ("sp", "cosamp")),
+                # SP's or CoSaMP's records, each holding the atoms it added, as an IHT result
+                ("iht_delta_support", "delta_support", lambda a: a.update(result=dataclasses.replace(a["result"], algorithm=Algorithm.IHT)), ("sp", "cosamp")),
+                ("estimate_values_nan", "estimate_values", lambda a: a.update(result=_with_first_record(a["result"], estimate_values=np.r_[math.nan, a["result"].trace[0].estimate_values[1:]])), ALL),
+            ]
+            for solver in solvers
         ],
     )
-    def test_writer_refuses_what_the_reader_rejects(self, tmp_path, field, edit):
-        # write_trace used to write each of these, and only read_trace or diagnose refused the file
-        D = generate_dictionary(12, 20, 44)
-        x = generate_signal(20, 2, 45)
-        e = 0.1 * np.random.default_rng(46).standard_normal(12)
-        res = subspace_pursuit(D, D.entries @ x.values + e, PursuitConfig(k=2, halting=FixedIterations(3)), x_true=x)
-        assert 17 in res.trace[0].delta_support
-        args = {"result": res, "D": D, "x_true": x, "noise": e, "sigma": 0.1}
+    def test_writer_refuses_what_the_reader_rejects(self, tmp_path, field, edit, solver):
+        # write_trace used to write each of these, and only read_trace or diagnose refused the file; recurrence_diagnostics,
+        # which takes no sigma, holds a run to the same rules, and used to accept a non-finite noise or estimate value,
+        # a support index past N and a delta_support of the wrong width
+        args = run_12x20(SOLVERS[solver])
+        first = args["result"].trace[0]
+        assert 17 in (first.delta_support or first.pruned_support)
         edit(args)
         path = tmp_path / "trace.npz"
         with pytest.raises(ValueError) as info:
             write_trace(path, **args)
         assert str(info.value).startswith(f"{path}: field {field!r}: ")
         assert not path.exists()
+        if field != "sigma":
+            run = args["result"]
+            with pytest.raises(ValueError, match=f"^{field}: "):
+                recurrence_diagnostics(run.trace, args["x_true"], args["noise"], args["D"], run.algorithm, delta=0.1)
+
+    @given(st.data())
+    @settings(deadline=None, max_examples=200)
+    def test_corrupt_archive_reads_as_clean_or_exits_2_naming_the_file(self, clean_trace, data):
+        # an unknown method in a zip header used to escape as a NotImplementedError traceback with exit 1, and
+        # bzip2's on stored data as error[OSError] naming no file; declared shapes are not drawn, as numpy allocates them
+        clean, expected, path = clean_trace
+        if data.draw(st.booleans(), label="truncate"):
+            damaged = clean[: data.draw(st.integers(0, len(clean) - 1), label="length")]
+        else:
+            at = data.draw(st.sampled_from(_method_fields(clean)), label="method field")
+            damaged = clean[:at] + data.draw(st.integers(0, 99), label="method").to_bytes(2, "little") + clean[at + 2 :]
+        path.write_bytes(damaged)
+        code, stdout, stderr = diagnose(path)
+        assert (code, stdout, stderr) == expected or (
+            code == 2 and stdout == "" and stderr.startswith(f"error[ValueError]: {path}: ")
+        )
 
     def test_header_only_trace_exits_2_naming_the_file(self, tmp_path, capsys):
         # a trace whose per-iteration arrays hold no rows used to read as 0 records, then stop diagnostics with no path
@@ -559,6 +664,7 @@ class TestDiagnose:
         assert code == 2 and stdout == ""
         assert stderr.startswith(f"error[ValueError]: {path}: ")
         assert field is None or f"field {field!r}" in stderr
+        return stderr
 
     def test_library_budget_applies_by_default(self, tmp_path, capsys):
         # without --delta, sp at k = 3 reads delta_9 of 26 atoms: C(26, 9) = 3,124,550 supports

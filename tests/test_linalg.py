@@ -586,6 +586,9 @@ class TestInputChecks:
             (lambda tmp: SparseSignal(np.zeros(3), SupportSet((3,))), ValueError, "support index out of range"),
             (lambda tmp: top_k_support(np.ones(3), 4), ValueError, r"need 0 <= k <= 3, got 4"),
             (lambda tmp: import_dictionary_csv(write(tmp, "3;4\n1,0,0,0\n")), ValueError, "malformed header '3;4'"),
+            # each used to stop with numpy's or the codec's message, naming no file
+            (lambda tmp: import_dictionary_csv(write(tmp, b"\x93NUMPY\xff\xfe")), ValueError, r"input\.csv: 'utf-8' codec can't decode"),
+            (lambda tmp: import_dictionary_csv(write(tmp, "1,4\n1,0,0,abc\n")), ValueError, r"input\.csv: could not convert string 'abc'"),
         ],
         ids=[
             "dictionary_1d",
@@ -595,6 +598,8 @@ class TestInputChecks:
             "signal_support_past_length",
             "top_k_past_length",
             "csv_malformed_header",
+            "csv_not_text",
+            "csv_cell_not_a_number",
         ],
     )
     def test_rejected(self, tmp_path, call, error, message):
@@ -604,5 +609,8 @@ class TestInputChecks:
 
 def write(tmp_path, text):
     path = tmp_path / "input.csv"
-    path.write_text(text)
+    if isinstance(text, bytes):
+        path.write_bytes(text)
+    else:
+        path.write_text(text)
     return path

@@ -196,6 +196,28 @@ class TestMeasurementChecks:
         with pytest.raises(NonFinite, match="measurements y must be finite"):
             SOLVERS[name](D, y, PursuitConfig(k=2, halting=FixedIterations(3)))
 
+    @pytest.mark.parametrize(
+        "y_shape, z, error, message",
+        [
+            ((12,), np.zeros(5), ValueError, r"z = D\^T y must be of shape \(20,\), got \(5,\)"),
+            ((12,), np.zeros((20, 1)), ValueError, r"z = D\^T y must be of shape \(20,\), got \(20, 1\)"),
+            ((12,), np.r_[np.zeros(19), math.nan], NonFinite, r"z = D\^T y must be finite"),
+            ((12, 1), None, ValueError, r"measurements y must be of shape \(12,\), got \(12, 1\)"),
+            ((5,), None, ValueError, r"measurements y must be of shape \(12,\), got \(5,\)"),
+        ],
+        ids=["z_short", "z_column", "z_nan", "y_column", "y_short"],
+    )
+    @pytest.mark.parametrize("gram", [False, True], ids=["plain", "gram"])
+    @pytest.mark.parametrize("name", ["sp", "cosamp", "iht"])
+    def test_y_and_z_of_the_wrong_shape_rejected(self, name, gram, y_shape, z, error, message):
+        # a short z used to give a plain dictionary's first correlation from 5 entries, and die in numpy's
+        # broadcasting on a Gram one; a (12, 1) y died in the partition and a short one in matmul
+        D = generate_dictionary(12, 20, 3)
+        D = D.with_gram() if gram else D
+        y = np.random.default_rng(4).standard_normal(y_shape)
+        with pytest.raises(error, match=message):
+            SOLVERS[name](D, y, PursuitConfig(k=2, halting=FixedIterations(3)), z=z)
+
     @pytest.mark.filterwarnings("error")
     def test_norm_of_a_finite_y_does_not_overflow(self):
         # the plain norm squares 1e200 and overflows; the scaled one, sqrt(2) * 1e200, gives ceil(log2(sqrt(2))) = 1
